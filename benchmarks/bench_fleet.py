@@ -7,8 +7,8 @@ directly::
     PYTHONPATH=src python benchmarks/bench_fleet.py --smoke    # CI gate
 
 It runs the same multi-agent navigation mission twice per fleet size —
-once as N independent ``run_trial`` loops (the pre-fleet execution model)
-and once through :meth:`MissionExecutor.run_trial_group`, which gathers
+once as a loop of N one-lane ``run_trial`` calls (the pre-fleet execution
+model) and once through :meth:`MissionExecutor.run_trial_group`, which gathers
 every agent's pending planner-decode and controller-forward call per tick
 into single row-stacked :class:`BatchedKernel` passes — and writes the
 agent-steps/s of both paths to ``BENCH_fleet.json``.
@@ -59,10 +59,16 @@ GATED_FLEET_SIZE = 16
 INJECTED_BER = 1e-3
 
 
+def _solo(fleet: FleetExecutor, size: int, **kwargs) -> list:
+    """The per-agent loop: every agent of the roster through ``run_trial``."""
+    return [fleet.executor.run_trial(agent.task, seed=agent.seed, **kwargs)
+            for agent in fleet.roster(size)]
+
+
 def _assert_identical(batched, serial) -> None:
     """Every agent's trial must match bit for bit across the two paths."""
-    assert batched.fleet_size == serial.fleet_size
-    for lane, (b, s) in enumerate(zip(batched.results, serial.results)):
+    assert len(batched.results) == len(serial)
+    for lane, (b, s) in enumerate(zip(batched.results, serial)):
         for field in dataclasses.fields(b):
             bv, sv = getattr(b, field.name), getattr(s, field.name)
             if field.name == "entropy_trace":
@@ -93,13 +99,10 @@ def bench_fleet_size(fleet: FleetExecutor, size: int, reps: int,
         kwargs = {"planner_protection": protection,
                   "controller_protection": protection}
         timer = _once
-    batched_result = fleet.run_fleet(size, batched=True, **kwargs)
-    _assert_identical(batched_result, fleet.run_fleet(size, batched=False,
-                                                      **kwargs))
-    serial_s = timer(lambda: fleet.run_fleet(size, batched=False, **kwargs),
-                     reps)
-    batched_s = timer(lambda: fleet.run_fleet(size, batched=True, **kwargs),
-                      reps)
+    batched_result = fleet.run_fleet(size, **kwargs)
+    _assert_identical(batched_result, _solo(fleet, size, **kwargs))
+    serial_s = timer(lambda: _solo(fleet, size, **kwargs), reps)
+    batched_s = timer(lambda: fleet.run_fleet(size, **kwargs), reps)
     steps = batched_result.agent_steps
     return {
         "fleet_size": size,

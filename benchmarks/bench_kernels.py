@@ -49,7 +49,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.agents import build_jarvis_system  # noqa: E402
 from repro.env.observations import OBSERVATION_DIM  # noqa: E402
-from repro.nn.functional import rms_norm, silu  # noqa: E402
+from repro.nn.functional import rms_norm, silu, softmax  # noqa: E402
 from repro.quant import GemmHooks, KernelContext  # noqa: E402
 
 from common import best_of_five as _time  # noqa: E402
@@ -149,10 +149,27 @@ def bench_fused_qkv(planner, reps: int) -> dict:
 # ----------------------------------------------------------------------
 # 3. fig16-style planner decode
 # ----------------------------------------------------------------------
+def _legacy_attention(planner, q, k, v, masks: dict) -> np.ndarray:
+    """Causal full-prefix attention of one prompt, head-stacked (3-D)."""
+    rows, dim = q.shape
+    heads = planner.config.num_heads
+    head_dim = dim // heads
+    q, k, v = (a.reshape(rows, heads, head_dim).transpose(1, 0, 2)
+               for a in (q, k, v))
+    mask = masks.get(rows)
+    if mask is None:
+        mask = masks[rows] = np.where(
+            np.arange(rows)[None, :] > np.arange(rows)[:, None], -1e9, 0.0)
+    weights = softmax(q @ k.transpose(0, 2, 1) / np.sqrt(head_dim) + mask,
+                      axis=-1)
+    return (weights @ v).transpose(1, 0, 2).reshape(rows, dim)
+
+
 def _legacy_plan(planner, task: str) -> list[int]:
     """The pre-kernel-runtime decode: closures + full-prefix recompute."""
     hooks = GemmHooks()
     ones = np.ones(planner.config.dim)
+    masks: dict = {}
 
     def forward(tokens):
         x = planner.weights.embed[np.asarray(tokens, dtype=np.int64)]
@@ -162,7 +179,7 @@ def _legacy_plan(planner, task: str) -> list[int]:
             q = planner._quantized[f"{prefix}.q"](h, hooks=hooks)
             k = planner._quantized[f"{prefix}.k"](h, hooks=hooks)
             v = planner._quantized[f"{prefix}.v"](h, hooks=hooks)
-            attn = planner._attention(q, k, v)
+            attn = _legacy_attention(planner, q, k, v, masks)
             x2 = x + planner._quantized[f"{prefix}.o"](attn, hooks=hooks)
             h2 = rms_norm(x2, ones, eps=1e-6)
             gate = silu(planner._quantized[f"{prefix}.gate"](h2, hooks=hooks))

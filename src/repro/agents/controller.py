@@ -193,8 +193,8 @@ class DeployedController:
     Every environment step runs one forward pass; the rollout loop of
     :class:`~repro.agents.executor.MissionExecutor` therefore builds one
     fused kernel context (:meth:`kernel_context`) per trial and passes it to
-    :meth:`act_logits`, so pre-resolved scales and reusable accumulator
-    workspaces are shared across all steps of the trial.
+    :meth:`act_logits`, so its counters, injector stream and one-lane kernel
+    span all steps of the trial.
     """
 
     def __init__(self, network: ControllerNetwork, spec: QuantSpec = INT8,
@@ -205,6 +205,7 @@ class DeployedController:
         self.config = network.config
         self.spec = spec
         self.num_actions = network.num_actions
+        self.observation_dim = network.observation_dim
         self._extract_weights(network)
         self.calibrator = Calibrator(spec)
         self._quantized: dict[str, QuantizedLinear] = {}
@@ -262,25 +263,13 @@ class DeployedController:
         return list(self._float_weights)
 
     # ------------------------------------------------------------------
-    def _attention(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        seq, dim = q.shape
-        heads = self.config.num_heads
-        head_dim = dim // heads
-        q = q.reshape(seq, heads, head_dim).transpose(1, 0, 2)
-        k = k.reshape(seq, heads, head_dim).transpose(1, 0, 2)
-        v = v.reshape(seq, heads, head_dim).transpose(1, 0, 2)
-        scores = q @ k.transpose(0, 2, 1) / np.sqrt(head_dim)
-        weights = softmax(scores, axis=-1)
-        return (weights @ v).transpose(1, 0, 2).reshape(seq, dim)
-
     def _attention_stack(self, q: np.ndarray, k: np.ndarray, v: np.ndarray,
                          n: int, seq: int) -> np.ndarray:
-        """:meth:`_attention` over ``n`` row-stacked lanes in one pass.
+        """Full (non-causal) attention within each of ``n`` row-stacked lanes.
 
         Lanes never mix: the lane axis is a pure batch axis of the stacked
         matmuls, so every 2-D GEMM slice, the score scaling, and the row-wise
-        softmax equal the per-lane computation bit for bit — the loop over
-        ``_attention`` calls is vectorized away, nothing else changes.
+        softmax equal a one-lane computation bit for bit.
         """
         dim = q.shape[-1]
         heads = self.config.num_heads
@@ -292,25 +281,57 @@ class DeployedController:
         weights = softmax(scores, axis=-1)
         return (weights @ v).transpose(0, 2, 1, 3).reshape(n * seq, dim)
 
-    def _forward(self, subtask_id: int, observation: np.ndarray, kernel) -> np.ndarray:
+    def _forward_lanes(self, requests: list[tuple[int, np.ndarray]], kernel,
+                       probe: dict[str, np.ndarray] | None = None
+                       ) -> np.ndarray:
+        """Action logits ``(lanes, actions)`` of row-stacked lanes.
+
+        ``requests`` holds one ``(subtask_id, observation)`` per lane.  The
+        lanes' activations are row-stacked — ``1 + num_obs_tokens`` rows
+        each — so every projection runs as one pass of ``kernel`` (a
+        :class:`~repro.quant.BatchedKernel` over the lanes' contexts, or a
+        :class:`~repro.quant.FloatKernel` for one float lane), while
+        attention and mean-pooling (which mix rows) stay within each lane's
+        row block.  ``probe`` (optional) receives every layer's
+        pre-normalization residual.
+        """
         cfg = self.config
-        prompt = self.subtask_embed[subtask_id][None, :]
-        obs_tokens = kernel.qgemm("obs_proj", observation[None, :]).reshape(
-            cfg.num_obs_tokens, cfg.dim)
-        x = np.concatenate([prompt, obs_tokens], axis=0)
+        n = len(requests)
+        seq = 1 + cfg.num_obs_tokens
+        ones = [1] * n
+        rows = [seq] * n
+
+        observations = np.empty((n, self.observation_dim))
+        x = np.empty((n * seq, cfg.dim))
+        for i, (subtask_id, observation) in enumerate(requests):
+            observations[i] = observation
+            x[i * seq] = self.subtask_embed[subtask_id]
+        obs_tokens = kernel.qgemm("obs_proj", observations, ones)
+        x.reshape(n, seq, cfg.dim)[:, 1:] = obs_tokens.reshape(
+            n, cfg.num_obs_tokens, cfg.dim)
         for index in range(cfg.num_layers):
             prefix = f"layer{index}"
             norms = self._norms[index]
             h = layer_norm(x, norms["attn_gamma"], norms["attn_beta"], eps=_LN_EPS)
-            attn = self._attention(kernel.qgemm(f"{prefix}.q", h),
-                                   kernel.qgemm(f"{prefix}.k", h),
-                                   kernel.qgemm(f"{prefix}.v", h))
-            x = x + kernel.qgemm(f"{prefix}.o", attn)
+            q = kernel.qgemm(f"{prefix}.q", h, rows)
+            k = kernel.qgemm(f"{prefix}.k", h, rows)
+            v = kernel.qgemm(f"{prefix}.v", h, rows)
+            x = x + kernel.qgemm(f"{prefix}.o",
+                                 self._attention_stack(q, k, v, n, seq), rows)
+            if probe is not None:
+                probe[f"{prefix}.pre_mlp_norm"] = x.copy()
             h2 = layer_norm(x, norms["mlp_gamma"], norms["mlp_beta"], eps=_LN_EPS)
-            x = x + kernel.qgemm(f"{prefix}.fc2", relu(kernel.qgemm(f"{prefix}.fc1", h2)))
-        x = layer_norm(x, self.final_norm["gamma"], self.final_norm["beta"], eps=_LN_EPS)
-        pooled = x.mean(axis=0, keepdims=True)
-        return kernel.qgemm("policy_head", pooled)[0]
+            x = x + kernel.qgemm(f"{prefix}.fc2",
+                                 relu(kernel.qgemm(f"{prefix}.fc1", h2, rows)),
+                                 rows)
+            if probe is not None:
+                probe[f"{prefix}.pre_attn_norm"] = x.copy()
+        x = layer_norm(x, self.final_norm["gamma"], self.final_norm["beta"],
+                       eps=_LN_EPS)
+        # Mean over each lane's rows: the reduced axis is summed row by row,
+        # exactly as a one-lane ``mean(axis=0)`` does.
+        pooled = x.reshape(n, seq, cfg.dim).mean(axis=1)
+        return kernel.qgemm("policy_head", pooled, ones)
 
     # ------------------------------------------------------------------
     # Kernel contexts
@@ -360,24 +381,22 @@ class DeployedController:
         """A fused kernel runtime over this controller's quantized layers."""
         return KernelContext(hooks=hooks, rng=rng, plan=self.kernel_plan())
 
-    def _kernel_for(self, hooks: GemmHooks | None, quantized: bool,
-                    context: KernelContext | None = None):
-        if context is not None:
-            return context
+    def _one_lane(self, hooks: GemmHooks | None, quantized: bool):
+        """The kernel a single hook-resolved call runs through (one lane)."""
         if not quantized:
             return self._float_kernel()
         if hooks is None:
             if self._clean_kernel is None:
                 self._clean_kernel = self.kernel_context()
-            return self._clean_kernel
-        return self.kernel_context(hooks)
+            return self._clean_kernel.lane
+        return self.kernel_context(hooks).lane
 
     # ------------------------------------------------------------------
     def calibrate(self, subtask_ids: np.ndarray, observations: np.ndarray) -> None:
         observer = Calibrator(self.spec)
         kernel = self._float_kernel(observer)
         for subtask_id, observation in zip(subtask_ids, observations):
-            self._forward(int(subtask_id), observation, kernel)
+            self._forward_lanes([(int(subtask_id), observation)], kernel)
         self.calibrator = observer
         self._quantized = {}
         self._plan = None
@@ -400,97 +419,50 @@ class DeployedController:
     def act_logits(self, subtask_id: int, observation: np.ndarray,
                    hooks: GemmHooks | None = None, quantized: bool = True,
                    context: KernelContext | None = None) -> np.ndarray:
-        """Action logits for one step.
+        """Action logits for one step: one lane of the :meth:`act_logits_batch`
+        forward.
 
         ``context`` short-circuits hook resolution: the rollout loop builds
         one :class:`~repro.quant.KernelContext` per trial and reuses it for
         every step.
         """
-        kernel = self._kernel_for(hooks, quantized, context)
-        return self._forward(subtask_id, observation, kernel)
+        kernel = context.lane if context is not None \
+            else self._one_lane(hooks, quantized)
+        logits = self._forward_lanes([(subtask_id, observation)], kernel)
+        kernel.release_inputs()
+        return logits[0]
 
     def act_logits_batch(self, requests: list[tuple[int, np.ndarray]],
-                         contexts: list[KernelContext]) -> list[np.ndarray]:
-        """Action logits for N lanes as one batched kernel pass per projection.
+                         contexts: list[KernelContext]) -> np.ndarray:
+        """Action logits ``(lanes, actions)`` of N lanes, one kernel pass per
+        projection.
 
         ``requests`` holds one ``(subtask_id, observation)`` per lane and
         ``contexts`` the lane's own per-trial kernel context (its hooks,
-        injector RNG stream, and counters).  The lanes' activations are
-        row-stacked — ``1 + num_obs_tokens`` rows each — so every projection
-        runs as a single quantize + INT GEMM for the whole stack through
-        :class:`~repro.quant.BatchedKernel`, while attention and mean-pooling
-        (which mix rows) run per lane on the lane's row slice.  Per-lane
-        stages execute in the same component order as :meth:`act_logits`
-        (``obs_proj``, ``q``/``k``/``v``/``o``, ``fc1``/``fc2``,
-        ``policy_head``), so each lane's output — logits, counters, injected
-        flips — is bit-identical to its serial forward pass, and a fault
-        targeted at one lane never perturbs its siblings.
+        injector RNG stream, and counters).  Every projection runs as a
+        single quantize + INT GEMM for the whole stack through
+        :class:`~repro.quant.BatchedKernel` (see :meth:`_forward_lanes`).
+        Per-lane stages execute in component order (``obs_proj``,
+        ``q``/``k``/``v``/``o``, ``fc1``/``fc2``, ``policy_head``), so each
+        lane's output — logits, counters, injected flips — equals a one-lane
+        call bit for bit, and a fault targeted at one lane never perturbs its
+        siblings.
         """
         if len(requests) != len(contexts):
             raise ValueError("need one kernel context per request")
-        if len(requests) == 1:
-            (subtask_id, observation), = requests
-            return [self.act_logits(subtask_id, observation,
-                                    context=contexts[0])]
-        kernel = BatchedKernel(list(contexts))
-        cfg = self.config
-        n = len(requests)
-        seq = 1 + cfg.num_obs_tokens
-        ones = [1] * n
-        rows = [seq] * n
-        bounds = [(i * seq, (i + 1) * seq) for i in range(n)]
-
-        observations = np.stack([np.asarray(observation, dtype=np.float64)
-                                 for _, observation in requests])
-        obs_tokens = kernel.qgemm("obs_proj", observations, ones)
-        x = np.empty((n * seq, cfg.dim))
-        for i, (subtask_id, _) in enumerate(requests):
-            x[i * seq] = self.subtask_embed[subtask_id]
-            x[i * seq + 1:(i + 1) * seq] = obs_tokens[i].reshape(
-                cfg.num_obs_tokens, cfg.dim)
-        for index in range(cfg.num_layers):
-            prefix = f"layer{index}"
-            norms = self._norms[index]
-            h = layer_norm(x, norms["attn_gamma"], norms["attn_beta"], eps=_LN_EPS)
-            q = kernel.qgemm(f"{prefix}.q", h, rows)
-            k = kernel.qgemm(f"{prefix}.k", h, rows)
-            v = kernel.qgemm(f"{prefix}.v", h, rows)
-            x = x + kernel.qgemm(f"{prefix}.o",
-                                 self._attention_stack(q, k, v, n, seq), rows)
-            h2 = layer_norm(x, norms["mlp_gamma"], norms["mlp_beta"], eps=_LN_EPS)
-            x = x + kernel.qgemm(f"{prefix}.fc2",
-                                 relu(kernel.qgemm(f"{prefix}.fc1", h2, rows)),
-                                 rows)
-        x = layer_norm(x, self.final_norm["gamma"], self.final_norm["beta"],
-                       eps=_LN_EPS)
-        pooled = np.stack([x[lo:hi].mean(axis=0) for lo, hi in bounds])
-        logits = kernel.qgemm("policy_head", pooled, ones)
+        kernel = BatchedKernel.over(contexts)
+        logits = self._forward_lanes(requests, kernel)
         kernel.release_inputs()
-        return [logits[i] for i in range(n)]
+        return logits
 
     def capture_activations(self, subtask_id: int, observation: np.ndarray,
                             hooks: GemmHooks | None = None,
                             quantized: bool = True) -> dict[str, np.ndarray]:
         """Pre-normalization residual activations (for the Fig. 5 i-l study)."""
         captured: dict[str, np.ndarray] = {}
-        kernel = self._kernel_for(hooks, quantized)
-        cfg = self.config
-        prompt = self.subtask_embed[subtask_id][None, :]
-        obs_tokens = kernel.qgemm("obs_proj", observation[None, :]).reshape(
-            cfg.num_obs_tokens, cfg.dim)
-        x = np.concatenate([prompt, obs_tokens], axis=0)
-        for index in range(cfg.num_layers):
-            prefix = f"layer{index}"
-            norms = self._norms[index]
-            h = layer_norm(x, norms["attn_gamma"], norms["attn_beta"], eps=_LN_EPS)
-            attn = self._attention(kernel.qgemm(f"{prefix}.q", h),
-                                   kernel.qgemm(f"{prefix}.k", h),
-                                   kernel.qgemm(f"{prefix}.v", h))
-            x = x + kernel.qgemm(f"{prefix}.o", attn)
-            captured[f"{prefix}.pre_mlp_norm"] = x.copy()
-            h2 = layer_norm(x, norms["mlp_gamma"], norms["mlp_beta"], eps=_LN_EPS)
-            x = x + kernel.qgemm(f"{prefix}.fc2", relu(kernel.qgemm(f"{prefix}.fc1", h2)))
-            captured[f"{prefix}.pre_attn_norm"] = x.copy()
+        kernel = self._one_lane(hooks, quantized)
+        self._forward_lanes([(subtask_id, observation)], kernel, probe=captured)
+        kernel.release_inputs()
         return captured
 
     @property

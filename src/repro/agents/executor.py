@@ -11,6 +11,9 @@ The control flow mirrors JARVIS-1 (paper Sec. 2.1): the planner is invoked
 once up front; the controller then executes the plan step by step; if a
 subtask exceeds its step budget the planner is re-invoked with the current
 progress; the task fails when the total step budget is exhausted.
+
+Trials run as lanes of a group (:meth:`MissionExecutor.run_trial_group`);
+a single trial is a one-lane group.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from ..core.anomaly import AnomalyDetector
 from ..core.create import ProtectionConfig
-from ..core.entropy import EntropyTrace, action_entropy
+from ..core.entropy import EntropyTrace
 from ..core.predictor import EntropyPredictor
 from ..core.voltage_scaling import AdaptiveVoltageController
 from ..env.subtasks import ALL_SUBTASKS, SubtaskRegistry
@@ -138,7 +141,6 @@ class MissionExecutor:
                  action_temperature: float = 1.0,
                  max_replans: int = 8,
                  invalid_token_penalty: int = 10,
-                 planner_use_cache: bool = True,
                  id_registry: SubtaskRegistry | None = None):
         self.controller = controller
         self.planner = planner
@@ -154,9 +156,6 @@ class MissionExecutor:
         self.action_temperature = action_temperature
         self.max_replans = max_replans
         self.invalid_token_penalty = invalid_token_penalty
-        #: Escape hatch: set False to decode plans with full-prefix recompute
-        #: instead of KV-cached incremental decoding.
-        self.planner_use_cache = planner_use_cache
 
     # ------------------------------------------------------------------
     def plan_cache_state(self) -> str:
@@ -188,20 +187,9 @@ class MissionExecutor:
     def _progress(self, world: EmbodiedWorld, task) -> int:
         return sum(1 for subtask in task.plan if subtask in world.inventory)
 
-    def _invoke_planner(self, task, world: EmbodiedWorld, context,
-                        result: TrialResult, voltage: float) -> list[str]:
-        progress = self._progress(world, task)
-        if self.planner is None:
-            # Ground-truth planning (controller-only studies).
-            return [subtask for subtask in task.plan[progress:]]
-        plan = self.planner.plan(task.name, progress, context=context,
-                                 use_cache=self.planner_use_cache)
-        self._account_plan(plan, result, voltage)
-        return plan
-
     def _account_plan(self, plan: list[str], result: TrialResult,
                       voltage: float) -> None:
-        """MAC/invocation accounting of one planner decode (serial or batched)."""
+        """MAC/invocation accounting of one planner decode."""
         result.planner_invocations += 1
         generated = len(plan) + 1  # +1 for the EOS decode step
         prompt_len = 4
@@ -219,11 +207,10 @@ class MissionExecutor:
                        ) -> "_TrialSetup":
         """Build one trial's deterministic state, before any planner decode.
 
-        RNG streams are derived from the seed exactly as they always were
-        (trial / world / planner / controller at ``seed`` / ``+10k`` /
-        ``+20k`` / ``+30k``), so a trial prepared here and finished by
-        :meth:`_run_to_completion` is bit-identical to :meth:`run_trial`
-        regardless of how the initial plan decode is executed.
+        RNG streams are derived from the seed (trial / world / planner /
+        controller at ``seed`` / ``+10k`` / ``+20k`` / ``+30k``), so a
+        trial's results depend on its own ``(task, seed)`` only, never on
+        the group it runs in.
         """
         planner_protection = planner_protection or ProtectionConfig()
         controller_protection = controller_protection or ProtectionConfig()
@@ -237,8 +224,8 @@ class MissionExecutor:
         controller_hooks, controller_injector, controller_detector = build_protection_hooks(
             controller_protection, np.random.default_rng(seed + 30_000), self.timing_model)
 
-        # One fused kernel context per model per trial: pre-resolved scales /
-        # bounds and reusable accumulator workspaces shared across all steps.
+        # One fused kernel context per model per trial: its counters and
+        # injector stream span all of the trial's steps.
         planner_kernel = self.planner.kernel_context(planner_hooks) \
             if self.planner is not None else None
         controller_kernel = self.controller.kernel_context(controller_hooks)
@@ -272,107 +259,80 @@ class MissionExecutor:
     def run_trial(self, task_name: str, seed: int = 0,
                   planner_protection: ProtectionConfig | None = None,
                   controller_protection: ProtectionConfig | None = None) -> TrialResult:
-        setup = self._prepare_trial(task_name, seed, planner_protection,
-                                    controller_protection)
-        plan_queue: deque[str] = deque(
-            self._invoke_planner(setup.task, setup.world, setup.planner_kernel,
-                                 setup.result, setup.planner_voltage))
-        return self._run_to_completion(setup, plan_queue)
-
-    def run_trial_batch(self, task_name: str, seeds: list[int],
-                        planner_protection: ProtectionConfig | None = None,
-                        controller_protection: ProtectionConfig | None = None
-                        ) -> list[TrialResult]:
-        """Run one trial per seed, batching inference across the whole group.
-
-        Every trial of a (spec, task) cell group starts with the same prompt
-        — the task at progress 0 — so the first planner invocation of all
-        trials runs as one cross-prompt batched decode through each trial's
-        own kernel context (:meth:`DeployedPlanner.plan_batch`).  The world
-        loops then advance in lock-step through :meth:`_run_lanes`: on every
-        simulation tick the group's pending controller forwards execute as
-        one row-stacked :class:`~repro.quant.BatchedKernel` pass
-        (:meth:`DeployedController.act_logits_batch`), and pending replans as
-        one batched decode.  RNG derivation, kernel hooks, and accounting are
-        identical to :meth:`run_trial`, and every batched call is
-        bit-identical to its serial counterpart, so results match
-        seed-for-seed byte for byte.
-        """
-        return self.run_trial_group([(task_name, seed) for seed in seeds],
+        """One trial: a one-lane :meth:`run_trial_group`."""
+        return self.run_trial_group([(task_name, seed)],
                                     planner_protection=planner_protection,
-                                    controller_protection=controller_protection)
+                                    controller_protection=controller_protection)[0]
 
     def run_trial_group(self, trials: list[tuple[str, int]],
                         planner_protection: ProtectionConfig | None = None,
                         controller_protection: ProtectionConfig | None = None
                         ) -> list[TrialResult]:
-        """Run one trial per ``(task_name, seed)`` pair with batched stepping.
+        """Run one trial per ``(task_name, seed)`` pair as lanes of one group.
 
-        The heterogeneous-task generalization of :meth:`run_trial_batch` —
-        the fleet runtime (:class:`~repro.agents.fleet.FleetExecutor`) runs
-        agents with round-robin task assignments, so lanes may decode
-        different prompts.  All lanes share every batched pass; results are
-        bit-identical to running each pair through :meth:`run_trial`.
+        The world loops advance in lock-step through :meth:`_run_lanes`: on
+        every simulation tick the group's pending planner decodes run as one
+        cross-prompt batched decode (:meth:`DeployedPlanner.plan_batch`) and
+        its pending controller forwards as one row-stacked
+        :class:`~repro.quant.BatchedKernel` pass
+        (:meth:`DeployedController.act_logits_batch`).  Lanes may run
+        different tasks (the fleet runtime,
+        :class:`~repro.agents.fleet.FleetExecutor`, assigns them
+        round-robin).  Every lane keeps its own RNG streams, kernel hooks,
+        and accounting, so each result equals the one-lane run of its pair
+        byte for byte — fault-free and under injection.
         """
-        if self.planner is None or len(trials) < 2:
-            return [self.run_trial(task_name, seed=seed,
-                                   planner_protection=planner_protection,
-                                   controller_protection=controller_protection)
-                    for task_name, seed in trials]
         setups = [self._prepare_trial(task_name, seed, planner_protection,
                                       controller_protection)
                   for task_name, seed in trials]
-        requests = [(setup.task.name, self._progress(setup.world, setup.task))
-                    for setup in setups]
-        plans = self.planner.plan_batch(
-            requests, contexts=[setup.planner_kernel for setup in setups],
-            use_cache=self.planner_use_cache)
-        for setup, plan in zip(setups, plans):
-            self._account_plan(plan, setup.result, setup.planner_voltage)
-        return self._run_lanes(setups, [deque(plan) for plan in plans])
+        return self._run_lanes(setups)
 
-    def _trial_steps(self, setup: "_TrialSetup", plan_queue: deque[str]):
+    def _plan_steps(self, setup: "_TrialSetup"):
+        """The plan queue for the trial's current progress.
+
+        Ground truth for planner-less systems; otherwise one ``("plan", ...)``
+        request whose decoded plan is accounted to the trial.
+        """
+        task = setup.task
+        progress = self._progress(setup.world, task)
+        if self.planner is None:
+            # Ground-truth planning (controller-only studies).
+            return deque(task.plan[progress:])
+        plan = yield ("plan", task.name, progress)
+        self._account_plan(plan, setup.result, setup.planner_voltage)
+        return deque(plan)
+
+    def _trial_steps(self, setup: "_TrialSetup"):
         """The world loop of one prepared trial as an inference-request generator.
 
         Yields ``("plan", task_name, progress)`` when the planner must be
-        (re-)invoked and ``("act", subtask_token, observation)`` for every
-        controller forward; the driver answers via ``send()`` with the
+        invoked — first for the initial plan, then for every replan — and
+        ``("act", subtask_token, observation)`` for every controller forward;
+        the driver (:meth:`_run_lanes`) answers via ``send()`` with the
         decoded plan / the ``(entropy, sampling distribution)`` of the
-        action logits (see :meth:`_act_response` — drivers compute the
-        deterministic logit post-processing so the batched driver can
-        vectorize it across lanes).  Everything else — world stepping,
-        voltage scaling, MAC and entropy accounting, action sampling with the
-        lane's own RNG, finalization — happens inside the generator, so any
-        driver that services the yields with bit-identical responses
-        (serial :meth:`_run_to_completion` or batched :meth:`_run_lanes`)
-        produces bit-identical :class:`TrialResult`\\ s: each lane's own call
+        action logits.  Everything else — world stepping, voltage scaling,
+        MAC and entropy accounting, action sampling with the lane's own RNG,
+        finalization — happens inside the generator: each lane's own call
         order is fixed by the generator, and cross-lane interleaving touches
         no lane-local state.
         """
-        task = setup.task
         rng = setup.rng
         world = setup.world
         controller_protection = setup.controller_protection
-        planner_voltage = setup.planner_voltage
         vs_runtime = setup.vs_runtime
         result = setup.result
         replans = 0
         controller_macs = self.controller.macs_per_step
         predictor_macs = self.predictor.macs_per_call if self.predictor is not None else 0
 
+        # The initial plan is a planner invocation but not a replan.
+        plan_queue = yield from self._plan_steps(setup)
         while not world.task_completed and not world.task_budget_exhausted():
             if not plan_queue:
                 replans += 1
                 if replans > self.max_replans:
                     break
-                progress = self._progress(world, task)
-                if self.planner is None:
-                    # Ground-truth planning (controller-only studies).
-                    plan_queue = deque(task.plan[progress:])
-                else:
-                    plan = yield ("plan", task.name, progress)
-                    self._account_plan(plan, result, planner_voltage)
-                    plan_queue = deque(plan)
+                plan_queue = yield from self._plan_steps(setup)
                 if not plan_queue:
                     break
                 continue
@@ -440,87 +400,50 @@ class MissionExecutor:
             result.voltage_summary = vs_runtime.schedule_summary()
         return result
 
-    def _run_to_completion(self, setup: "_TrialSetup",
-                           plan_queue: deque[str]) -> TrialResult:
-        """Drive the world loop of one prepared trial until success or budget.
-
-        The serial driver of :meth:`_trial_steps`: every yielded request is
-        serviced inline against the trial's own kernel contexts.
-        """
-        lane = self._trial_steps(setup, plan_queue)
-        response = None
-        while True:
-            try:
-                request = lane.send(response)
-            except StopIteration:
-                return setup.result
-            if request[0] == "plan":
-                _, task_name, progress = request
-                response = self.planner.plan(
-                    task_name, progress, context=setup.planner_kernel,
-                    use_cache=self.planner_use_cache)
-            else:
-                _, subtask_token, observation = request
-                response = self._act_response(self.controller.act_logits(
-                    subtask_token, observation,
-                    context=setup.controller_kernel))
-
-    def _run_lanes(self, setups: list["_TrialSetup"],
-                   plan_queues: list[deque[str]]) -> list[TrialResult]:
+    def _run_lanes(self, setups: list["_TrialSetup"]) -> list[TrialResult]:
         """Drive N prepared trials lock-step, batching cross-lane inference.
 
         On every tick, the pending requests of all live lanes are gathered
         and serviced as (at most) one batched planner decode
         (:meth:`DeployedPlanner.plan_batch`) plus one batched controller
         forward (:meth:`DeployedController.act_logits_batch`) — one quantize
-        and one INT GEMM per projection for the whole group instead of one
-        dispatch per lane.  Lanes finish independently (StopIteration drops
-        them from the round), and single-lane rounds fall back to the serial
-        calls.  Responses are bit-identical to serial servicing, and each
-        lane's call order is fixed by its generator, so the results equal the
-        per-lane serial loop byte for byte — fault-free and under injection.
+        and one INT GEMM per projection for the whole group.  Lanes finish
+        independently (StopIteration drops them from the round).  The logit
+        post-processing (entropy and sampling distribution) is vectorized
+        over the act lanes: every operation is elementwise or a last-axis
+        reduction, so each row equals a one-lane computation bit for bit.
         """
-        lanes = [self._trial_steps(setup, plan_queue)
-                 for setup, plan_queue in zip(setups, plan_queues)]
+        lanes = [self._trial_steps(setup) for setup in setups]
         responses: list[object] = [None] * len(lanes)
-        requests: dict[int, tuple] = {}
         alive = list(range(len(lanes)))
         while alive:
             pending = []
+            plan_lanes, plan_requests = [], []
+            act_lanes, act_requests = [], []
             for index in alive:
                 try:
-                    requests[index] = lanes[index].send(responses[index])
+                    kind, *request = lanes[index].send(responses[index])
                 except StopIteration:
                     continue
                 pending.append(index)
-            plan_lanes = [i for i in pending if requests[i][0] == "plan"]
-            act_lanes = [i for i in pending if requests[i][0] == "act"]
-            if len(plan_lanes) == 1:
-                index, = plan_lanes
-                _, task_name, progress = requests[index]
-                responses[index] = self.planner.plan(
-                    task_name, progress, context=setups[index].planner_kernel,
-                    use_cache=self.planner_use_cache)
-            elif plan_lanes:
+                if kind == "plan":
+                    plan_lanes.append(index)
+                    plan_requests.append(request)
+                else:
+                    act_lanes.append(index)
+                    act_requests.append(request)
+            if plan_lanes:
                 plans = self.planner.plan_batch(
-                    [requests[i][1:] for i in plan_lanes],
-                    contexts=[setups[i].planner_kernel for i in plan_lanes],
-                    use_cache=self.planner_use_cache)
+                    plan_requests,
+                    contexts=[setups[i].planner_kernel for i in plan_lanes])
                 for index, plan in zip(plan_lanes, plans):
                     responses[index] = plan
-            if len(act_lanes) == 1:
-                index, = act_lanes
-                _, subtask_token, observation = requests[index]
-                responses[index] = self._act_response(self.controller.act_logits(
-                    subtask_token, observation,
-                    context=setups[index].controller_kernel))
-            elif act_lanes:
+            if act_lanes:
                 logits = self.controller.act_logits_batch(
-                    [requests[i][1:] for i in act_lanes],
+                    act_requests,
                     contexts=[setups[i].controller_kernel for i in act_lanes])
-                stack = np.stack(logits)
-                entropies = _shannon_entropy(softmax(stack))
-                probs = self._action_probs(stack)
+                entropies = _shannon_entropy(softmax(logits))
+                probs = self._action_probs(logits)
                 for j, index in enumerate(act_lanes):
                     responses[index] = (float(entropies[j]), probs[j])
             alive = pending
@@ -530,22 +453,12 @@ class MissionExecutor:
         """Temperature-scaled sampling distribution of (stacked) logits.
 
         Every operation is elementwise or a last-axis reduction, so each row
-        of a stacked call equals the row's own 1-D call bit for bit — the
-        batched driver exploits exactly that.
+        of a stacked call equals the row's own 1-D call bit for bit.
         """
         scaled = np.asarray(logits, dtype=np.float64) / self.action_temperature
         scaled = np.nan_to_num(scaled, nan=0.0, posinf=60.0, neginf=-60.0)
         scaled = np.clip(scaled, -60.0, 60.0)
         return softmax(scaled)
-
-    def _act_response(self, logits: np.ndarray) -> tuple[float, np.ndarray]:
-        """The deterministic "act" payload of one lane: entropy + distribution."""
-        return action_entropy(logits), self._action_probs(logits)
-
-    def _select_action(self, logits: np.ndarray, rng: np.random.Generator) -> int:
-        """Sample an action from the (temperature-scaled) softmax of the logits."""
-        probs = self._action_probs(logits)
-        return int(rng.choice(probs.size, p=probs))
 
     # ------------------------------------------------------------------
     def run_trials(self, task_name: str, num_trials: int, seed: int = 0,
@@ -555,7 +468,7 @@ class MissionExecutor:
         """Repeat a trial with distinct seeds (the paper repeats >= 100 times)."""
         if num_trials <= 0:
             raise ValueError("num_trials must be positive")
-        return [self.run_trial(task_name, seed=seed + index,
-                               planner_protection=planner_protection,
-                               controller_protection=controller_protection)
-                for index in range(num_trials)]
+        return self.run_trial_group(
+            [(task_name, seed + index) for index in range(num_trials)],
+            planner_protection=planner_protection,
+            controller_protection=controller_protection)

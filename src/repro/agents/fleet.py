@@ -13,8 +13,8 @@ world with subtasks spread across collaborating agents).
 Exactness contract
 ------------------
 Fleet-batched stepping is **bit-identical** to running each agent through
-its own serial :meth:`~repro.agents.executor.MissionExecutor.run_trial`
-loop, fault-free and under injection.  Three properties make that hold:
+its own one-lane :meth:`~repro.agents.executor.MissionExecutor.run_trial`,
+fault-free and under injection.  Three properties make that hold:
 
 * the fleet GEMM stacks lanes along rows, and the float64 accumulator is
   exact for INT8 products, so each lane's rows equal its solo GEMM output;
@@ -116,13 +116,12 @@ class FleetResult:
 
 
 class FleetExecutor:
-    """Runs N-agent fleets over one executor's suite, batched or serial.
+    """Runs N-agent fleets over one executor's suite.
 
     Wraps a :class:`MissionExecutor` (the navigation scenario system by
-    default) and dispatches whole fleets: the batched path drives all agents
-    lock-step through ``run_trial_group`` — every tick one fused kernel pass
-    per projection for the fleet — while the serial path is the per-agent
-    reference loop the exactness contract is checked against.
+    default) and dispatches whole fleets: all agents step lock-step through
+    ``run_trial_group`` — every tick one fused kernel pass per projection
+    for the fleet.
     """
 
     def __init__(self, executor: MissionExecutor | None = None,
@@ -152,26 +151,17 @@ class FleetExecutor:
     # ------------------------------------------------------------------
     def run_fleet(self, fleet_size: int, seed: int = 0,
                   planner_protection: ProtectionConfig | None = None,
-                  controller_protection: ProtectionConfig | None = None,
-                  batched: bool = True) -> FleetResult:
-        """Run one fleet and aggregate its fleet-level metrics.
+                  controller_protection: ProtectionConfig | None = None
+                  ) -> FleetResult:
+        """Run one fleet as one lane group and aggregate its fleet metrics.
 
-        ``batched=True`` (the default) steps all agents through the
-        cross-agent batched kernel path; ``batched=False`` runs the
-        per-agent serial reference loop.  Both return bit-identical
-        per-agent results — ``batched`` only selects the execution shape.
+        All agents step lock-step through ``run_trial_group``; each agent's
+        result equals its own solo ``run_trial`` bit for bit.
         """
         roster = self.roster(fleet_size, seed=seed)
-        if batched:
-            results = self.executor.run_trial_group(
-                [(agent.task, agent.seed) for agent in roster],
-                planner_protection=planner_protection,
-                controller_protection=controller_protection)
-        else:
-            results = [self.executor.run_trial(
-                agent.task, seed=agent.seed,
-                planner_protection=planner_protection,
-                controller_protection=controller_protection)
-                for agent in roster]
+        results = self.executor.run_trial_group(
+            [(agent.task, agent.seed) for agent in roster],
+            planner_protection=planner_protection,
+            controller_protection=controller_protection)
         return FleetResult(fleet_size=fleet_size, roster=roster,
                            results=results)

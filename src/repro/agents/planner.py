@@ -18,7 +18,7 @@ Three stages mirror the real platform:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -290,68 +290,18 @@ def _unit_rms_norm(x: np.ndarray, gain: np.ndarray | None = None) -> np.ndarray:
     return rms_norm(x, np.ones(x.shape[-1]) if gain is None else gain, eps=_NORM_EPS)
 
 
-@dataclass
-class _DecodeLane:
-    """Per-prompt decoding state of one lane of a batched decode."""
-
-    tokens: list[int]
-    cache: KVCache
-    context: KernelContext
-    generated: list[int] = field(default_factory=list)
-    logits: list[np.ndarray] | None = None
-    done: bool = False
-
-
-class _BatchedKVMirror:
-    """Contiguous cross-lane mirror of the active lanes' K/V caches.
-
-    Batched attention wants each layer's cached K/V as one
-    ``(n_lanes, total, dim)`` block; stacking the per-lane caches anew every
-    step re-copies the whole prefix — O(L²) copying over a decode.  The
-    mirror keeps the same values in one preallocated buffer per projection
-    and appends only each step's new rows (O(L)).  The per-lane caches stay
-    the source of truth: the mirror is rebuilt (backfilled from them) when a
-    lane drops out at EOS, and the uncached / non-uniform-geometry paths
-    never consult it.  Values are bit-identical either way — the mirror
-    holds copies of exactly the rows the per-lane caches hold.
-    """
-
-    def __init__(self, lanes: list[_DecodeLane]):
-        layers, capacity, dim = lanes[0].cache._k.shape
-        n_lanes = len(lanes)
-        self._k = np.empty((layers, n_lanes, capacity, dim), dtype=np.float64)
-        self._v = np.empty((layers, n_lanes, capacity, dim), dtype=np.float64)
-        self.length = lanes[0].cache.length
-        for index, lane in enumerate(lanes):
-            self._k[:, index, :self.length] = lane.cache._k[:, :self.length]
-            self._v[:, index, :self.length] = lane.cache._v[:, :self.length]
-
-    def append(self, layer: int, k_new: np.ndarray, v_new: np.ndarray) -> None:
-        """Write all lanes' new rows (``(n_lanes, n_new, dim)``) at ``length:``."""
-        n_new = k_new.shape[1]
-        self._k[layer, :, self.length:self.length + n_new] = k_new
-        self._v[layer, :, self.length:self.length + n_new] = v_new
-
-    def advance(self, rows: int) -> None:
-        self.length += rows
-
-    def keys(self, layer: int, length: int) -> np.ndarray:
-        return self._k[layer, :, :length]
-
-    def values(self, layer: int, length: int) -> np.ndarray:
-        return self._v[layer, :, :length]
-
-
 class DeployedPlanner:
     """INT8 planner inference with fault-injection / anomaly-clearance hooks.
 
     Decoding runs through the fused kernel runtime
-    (:class:`repro.quant.KernelContext`) and is **KV-cached** by default:
-    per-layer key/value projections are cached so each decode step executes
-    GEMMs only for the newly produced token (O(L) total work per plan instead
-    of O(L²) prefix recompute).  ``use_cache=False`` is the escape hatch that
-    restores full-prefix recompute; fault-free, both paths produce identical
-    tokens, logits, and (logical) MAC counts.
+    (:class:`repro.quant.BatchedKernel`) as a group of lanes — one per
+    prompt, each with its own :class:`repro.quant.KernelContext` — and a
+    single prompt is simply a one-lane group.  Decoding is **KV-cached** by
+    default: per-layer key/value projections are cached so each decode step
+    executes GEMMs only for the newly produced token (O(L) total work per
+    plan instead of O(L²) prefix recompute).  ``use_cache=False`` restores
+    full-prefix recompute (calibration needs it); fault-free, both produce
+    identical tokens, logits, and (logical) MAC counts.
     """
 
     def __init__(self, weights: PlannerWeights, vocab: PlannerVocabulary,
@@ -367,10 +317,9 @@ class DeployedPlanner:
         self._plan: KernelPlan | None = None
         self._plan_shared = False
         self._activation_probe: dict[str, np.ndarray] | None = None
-        self._clean_kernel: KernelContext | None = None
-        # Hook-free batched decoding reuses a pool of per-lane contexts
-        # (grown on demand) so lane counters stay independent without
-        # rebuilding contexts per plan_batch call.
+        # Hook-free decoding reuses a pool of per-lane contexts (grown on
+        # demand) so lane counters stay independent without rebuilding
+        # contexts per call.
         self._clean_lanes: list[KernelContext] = []
         self._norm_gain = np.ones(weights.config.dim)
         self._mask_cache: dict[tuple[int, int, int], np.ndarray] = {}
@@ -380,83 +329,15 @@ class DeployedPlanner:
     # ------------------------------------------------------------------
     # Forward pass (shared between float calibration and quantized inference)
     # ------------------------------------------------------------------
-    def _attention(self, q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                   start: int = 0) -> np.ndarray:
-        """Causal attention of query rows ``start..`` over ``k``/``v`` rows.
+    def _attention_lanes(self, q: np.ndarray, ks: np.ndarray, vs: np.ndarray,
+                         start: int) -> np.ndarray:
+        """Per-lane causal attention of query rows ``start..`` over ``ks``/``vs``.
 
-        ``q`` holds the new positions only; ``k`` and ``v`` hold the full
-        (cached + new) prefix.  ``start=0`` with ``q`` covering every row is
-        the classic full-sequence case.
-        """
-        n_new, dim = q.shape
-        total = k.shape[0]
-        heads = self.config.num_heads
-        head_dim = dim // heads
-        q = q.reshape(n_new, heads, head_dim).transpose(1, 0, 2)
-        k = k.reshape(total, heads, head_dim).transpose(1, 0, 2)
-        v = v.reshape(total, heads, head_dim).transpose(1, 0, 2)
-        scores = q @ k.transpose(0, 2, 1) / np.sqrt(head_dim)
-        mask = self._mask_cache.get((n_new, total, start))
-        if mask is None:
-            mask = np.where(
-                np.arange(total)[None, :] > start + np.arange(n_new)[:, None],
-                -1e9, 0.0)
-            self._mask_cache[(n_new, total, start)] = mask
-        weights = softmax(scores + mask, axis=-1)
-        context = weights @ v
-        return context.transpose(1, 0, 2).reshape(n_new, dim)
-
-    def _forward_step(self, tokens: list[int], start: int, cache: KVCache,
-                      kernel) -> np.ndarray:
-        """Run the decoder over ``tokens[start:]``; return last-position logits.
-
-        ``cache`` must hold the K/V projections of ``tokens[:start]``
-        (``start=0`` with an empty cache is a full forward).  ``kernel`` is a
-        :class:`~repro.quant.KernelContext` (quantized inference) or a
-        :class:`_FloatKernel` (calibration / float reference).  GEMM MACs are
-        recorded for the full logical context length, so accounting is
-        identical whether or not the prefix was cached.
-        """
-        total = len(tokens)
-        n_new = total - start
-        x = self.weights.embed[np.asarray(tokens[start:], dtype=np.int64)]
-        probe = self._activation_probe
-        gain = self._norm_gain
-        for index in range(len(self.weights.layers)):
-            prefix = f"layer{index}"
-            h = _unit_rms_norm(x, gain)
-            q, k, v = kernel.qgemm_multi(
-                (f"{prefix}.q", f"{prefix}.k", f"{prefix}.v"), h,
-                logical_rows=total)
-            cache.append(index, k, v)
-            attn = self._attention(q, cache.keys(index, total),
-                                   cache.values(index, total), start)
-            x = x + kernel.qgemm(f"{prefix}.o", attn, logical_rows=total)
-            if probe is not None:
-                probe[f"{prefix}.pre_mlp_norm"] = x.copy()
-            h2 = _unit_rms_norm(x, gain)
-            gate, up = kernel.qgemm_multi(
-                (f"{prefix}.gate", f"{prefix}.up"), h2, logical_rows=total)
-            x = x + kernel.qgemm(f"{prefix}.down", silu(gate) * up,
-                                 logical_rows=total)
-            if probe is not None:
-                probe[f"{prefix}.pre_attn_norm"] = x.copy()
-        cache.advance(n_new)
-        x = _unit_rms_norm(x, gain)
-        logits = kernel.qgemm("head", x[-1:], logical_rows=1)
-        return logits[0]
-
-    def _attention_batch(self, q: np.ndarray, ks: np.ndarray,
-                         vs: np.ndarray, start: int) -> np.ndarray:
-        """Per-lane causal attention over lanes sharing one (n_new, total, start).
-
-        ``q`` is the row-stacked query block of all lanes; ``ks`` / ``vs``
-        are ``(n_lanes, total, dim)`` blocks (a :class:`_BatchedKVMirror`
-        view or a stack of the per-lane caches).  numpy's batched matmul
-        runs one 2-D GEMM per (lane, head) slice — the same GEMMs the
-        per-lane :meth:`_attention` issues — and every other op is
-        elementwise, so the result is bit-identical to looping lanes (the
-        batched-decode tests assert this).
+        ``q`` is the row-stacked block of every lane's new positions;
+        ``ks`` / ``vs`` are ``(lanes, total, dim)`` blocks holding the full
+        (cached + new) prefix of each lane.  numpy's batched matmul runs one
+        2-D GEMM per (lane, head) slice and every other op is elementwise or
+        row-wise, so lanes never mix.
         """
         n_lanes, total = ks.shape[0], ks.shape[1]
         n_new = q.shape[0] // n_lanes
@@ -477,86 +358,62 @@ class DeployedPlanner:
         context = weights @ v
         return context.transpose(0, 2, 1, 3).reshape(n_lanes * n_new, dim)
 
-    def _forward_step_batch(self, lanes: list[_DecodeLane], starts: list[int],
-                            kernel: BatchedKernel,
-                            mirror: _BatchedKVMirror | None = None
-                            ) -> np.ndarray:
-        """One decoder step over several prompts; returns (n_lanes, vocab) logits.
+    def _forward_lanes(self, tokens: list[list[int]], start: int,
+                       cache: KVCache, kernel) -> np.ndarray:
+        """Run the decoder over every lane's ``tokens[start:]``.
 
-        The lanes' new-token rows are stacked into one activation matrix and
-        every projection runs as a single batched (and Q/K/V- / Gate/Up-fused)
-        GEMM through ``kernel``; K/V caches and attention stay per lane.  Row
-        slicing, normalization, and attention are all row-independent, so each
-        lane's logits are bit-identical to its serial :meth:`_forward_step`.
-        ``mirror`` (cached uniform decodes only) feeds attention the same K/V
-        values without re-stacking the per-lane caches each step.
+        Returns the ``(lanes, vocab)`` logits of each lane's last position.
+        ``cache`` must hold the K/V projections of every lane's
+        ``tokens[:start]`` (``start=0`` with an empty cache is a full
+        forward).  ``kernel`` is a :class:`~repro.quant.BatchedKernel` over
+        the lanes' contexts (quantized inference) or a
+        :class:`~repro.quant.FloatKernel` (calibration / float reference,
+        one lane).  The lanes' new-token rows are stacked into one
+        activation matrix, so every projection runs as a single (Q/K/V- /
+        Gate/Up-fused) GEMM.  GEMM MACs are recorded for the full logical
+        context length, so accounting is identical whether or not the
+        prefix was cached.
         """
-        totals = [len(lane.tokens) for lane in lanes]
-        n_news = [total - start for total, start in zip(totals, starts)]
-        bounds = []
-        offset = 0
-        for n_new in n_news:
-            bounds.append((offset, offset + n_new))
-            offset += n_new
-        if all(n_new == 1 for n_new in n_news):
-            # Steady state (one new token per lane): one fancy-index gather
-            # instead of a per-lane gather + concatenate.
-            x = self.weights.embed[[lane.tokens[-1] for lane in lanes]]
+        total = len(tokens[0])
+        if any(len(lane) != total for lane in tokens):
+            raise ValueError("all lanes of a decode step must share one "
+                             "length (prompts encode to a fixed length)")
+        n_lanes = len(tokens)
+        n_new = total - start
+        if n_new == 1:
+            ids = [lane[-1] for lane in tokens]
         else:
-            x = np.concatenate([
-                self.weights.embed[np.asarray(lane.tokens[start:],
-                                              dtype=np.int64)]
-                for lane, start in zip(lanes, starts)])
+            ids = [token for lane in tokens for token in lane[start:]]
+        x = self.weights.embed[np.asarray(ids, dtype=np.int64)]
+        rows = [n_new] * n_lanes
+        logical = [total] * n_lanes
+        probe = self._activation_probe
         gain = self._norm_gain
-        # Prompts share one length and lanes step together, so the geometry
-        # is uniform in practice; heterogeneous geometries (possible through
-        # direct calls) fall back to per-lane attention.
-        uniform = len(set(zip(n_news, totals, starts))) == 1
-        # The mirror's write position must line up with the lanes' caches;
-        # a stale mirror (left behind by a non-uniform step) is ignored.
-        use_mirror = mirror is not None and uniform and mirror.length == starts[0]
-        n_lanes = len(lanes)
         for index in range(len(self.weights.layers)):
             prefix = f"layer{index}"
             h = _unit_rms_norm(x, gain)
             q, k, v = kernel.qgemm_multi(
-                (f"{prefix}.q", f"{prefix}.k", f"{prefix}.v"), h, n_news,
-                logical_rows=totals)
-            for lane, (lo, hi) in zip(lanes, bounds):
-                lane.cache.append(index, k[lo:hi], v[lo:hi])
-            if use_mirror:
-                mirror.append(index, k.reshape(n_lanes, n_news[0], -1),
-                              v.reshape(n_lanes, n_news[0], -1))
-                attn = self._attention_batch(
-                    q, mirror.keys(index, totals[0]),
-                    mirror.values(index, totals[0]), starts[0])
-            elif uniform:
-                attn = self._attention_batch(
-                    q, np.stack([lane.cache.keys(index, total)
-                                 for lane, total in zip(lanes, totals)]),
-                    np.stack([lane.cache.values(index, total)
-                              for lane, total in zip(lanes, totals)]),
-                    starts[0])
-            else:
-                attn = np.concatenate([
-                    self._attention(q[lo:hi], lane.cache.keys(index, total),
-                                    lane.cache.values(index, total), start)
-                    for lane, (lo, hi), total, start
-                    in zip(lanes, bounds, totals, starts)])
-            x = x + kernel.qgemm(f"{prefix}.o", attn, n_news, logical_rows=totals)
+                (f"{prefix}.q", f"{prefix}.k", f"{prefix}.v"), h, rows,
+                logical_rows=logical)
+            cache.append(index, k.reshape(n_lanes, n_new, -1),
+                         v.reshape(n_lanes, n_new, -1))
+            attn = self._attention_lanes(q, cache.keys(index, total),
+                                         cache.values(index, total), start)
+            x = x + kernel.qgemm(f"{prefix}.o", attn, rows, logical_rows=logical)
+            if probe is not None:
+                probe[f"{prefix}.pre_mlp_norm"] = x.copy()
             h2 = _unit_rms_norm(x, gain)
             gate, up = kernel.qgemm_multi(
-                (f"{prefix}.gate", f"{prefix}.up"), h2, n_news,
-                logical_rows=totals)
-            x = x + kernel.qgemm(f"{prefix}.down", silu(gate) * up, n_news,
-                                 logical_rows=totals)
-        for lane, n_new in zip(lanes, n_news):
-            lane.cache.advance(n_new)
-        if use_mirror:
-            mirror.advance(n_news[0])
+                (f"{prefix}.gate", f"{prefix}.up"), h2, rows,
+                logical_rows=logical)
+            x = x + kernel.qgemm(f"{prefix}.down", silu(gate) * up, rows,
+                                 logical_rows=logical)
+            if probe is not None:
+                probe[f"{prefix}.pre_attn_norm"] = x.copy()
+        cache.advance(n_new)
         x = _unit_rms_norm(x, gain)
-        last = x[[hi - 1 for _, hi in bounds]]
-        ones = [1] * len(lanes)
+        last = np.ascontiguousarray(x[n_new - 1::n_new])
+        ones = [1] * n_lanes
         return kernel.qgemm("head", last, ones, logical_rows=ones)
 
     def _float_weight(self, name: str) -> np.ndarray:
@@ -598,7 +455,6 @@ class DeployedPlanner:
                 f"planner's checkpoint ({expected[:12]})")
         self._plan = plan
         self._plan_shared = plan.shared
-        self._clean_kernel = None
         self._clean_lanes = []
 
     def plan_provenance(self) -> str:
@@ -612,21 +468,12 @@ class DeployedPlanner:
         """A fused kernel runtime over this planner's quantized layers."""
         return KernelContext(hooks=hooks, rng=rng, plan=self.kernel_plan())
 
-    def _kernel_for(self, hooks: GemmHooks | None, quantized: bool,
-                    context: KernelContext | None = None):
-        if context is not None:
-            return context
+    def _one_lane(self, hooks: GemmHooks | None, quantized: bool):
+        """The kernel a single-prompt call runs through (one lane)."""
         if not quantized:
             return FloatKernel(self._float_weight)
-        if hooks is None:
-            # Hook-free inference shares one context (and its workspaces).
-            if self._clean_kernel is None:
-                self._clean_kernel = self.kernel_context()
-            return self._clean_kernel
-        return self.kernel_context(hooks)
-
-    def _new_cache(self, capacity: int) -> KVCache:
-        return KVCache(len(self.weights.layers), capacity, self.config.dim)
+        return self._batch_contexts(1, None if hooks is None else [hooks],
+                                    None)[0].lane
 
     # ------------------------------------------------------------------
     # Calibration / quantization
@@ -634,22 +481,21 @@ class DeployedPlanner:
     def calibrate(self) -> None:
         """Profile activations over every (task, progress) prompt, then quantize.
 
-        Calibration decodes without the KV cache: the observer must see the
-        exact full-prefix tensors the reference pipeline produced, so the
-        profiled scales and anomaly bounds stay bit-identical across kernel
-        generations.
+        Calibration decodes one prompt at a time without the KV cache: the
+        observer must see the exact full-prefix tensors the reference
+        pipeline produced, so the profiled scales and anomaly bounds stay
+        bit-identical across kernel generations.
         """
         observer = Calibrator(self.spec)
         kernel = FloatKernel(self._float_weight, observer=observer)
         for task in self.suite.tasks():
             for progress in range(len(task.plan)):
-                self._decode(task.name, progress, kernel, max_new_tokens=None,
-                             use_cache=False)
+                self._decode_lanes([(task.name, progress)], kernel=kernel,
+                                   use_cache=False)
         self.calibrator = observer
         self._quantized = {}
         self._plan = None
         self._plan_shared = False
-        self._clean_kernel = None
         self._clean_lanes = []
         for name in self.weights.component_names():
             self._quantized[name] = QuantizedLinear(
@@ -667,51 +513,7 @@ class DeployedPlanner:
                 for name in self.weights.component_names()}
 
     # ------------------------------------------------------------------
-    # Planning
-    # ------------------------------------------------------------------
-    def _decode(self, task_name: str, progress: int, kernel,
-                max_new_tokens: int | None, use_cache: bool = True,
-                collect_logits: list[np.ndarray] | None = None) -> list[int]:
-        limit = max_new_tokens or self.config.max_plan_length + 1
-        tokens = list(self.vocab.encode_prompt(task_name, progress))
-        cache = self._new_cache(len(tokens) + limit)
-        generated: list[int] = []
-        for _ in range(limit):
-            if use_cache:
-                # Prefill on the first step, then one new token per step.
-                logits = self._forward_step(tokens, cache.length, cache, kernel)
-            else:
-                cache.reset()
-                logits = self._forward_step(tokens, 0, cache, kernel)
-            if collect_logits is not None:
-                collect_logits.append(np.asarray(logits, dtype=np.float64).copy())
-            next_token = int(np.argmax(logits))
-            generated.append(next_token)
-            tokens.append(next_token)
-            if next_token == self.vocab.eos:
-                break
-        return generated
-
-    def decode_tokens(self, task_name: str, progress: int = 0,
-                      hooks: GemmHooks | None = None, quantized: bool = True,
-                      use_cache: bool = True, collect_logits: bool = False,
-                      max_new_tokens: int | None = None,
-                      ) -> tuple[list[int], list[np.ndarray]]:
-        """Greedy-decode completion tokens (and optionally per-step logits).
-
-        This is the raw interface behind :meth:`plan`; the kernel equivalence
-        tests use it to compare cached and uncached decode token-by-token and
-        logit-by-logit.
-        """
-        kernel = self._kernel_for(hooks, quantized)
-        logits: list[np.ndarray] = []
-        tokens = self._decode(task_name, progress, kernel, max_new_tokens,
-                              use_cache=use_cache,
-                              collect_logits=logits if collect_logits else None)
-        return tokens, logits
-
-    # ------------------------------------------------------------------
-    # Cross-prompt batched decoding
+    # Lane-group decoding
     # ------------------------------------------------------------------
     def _batch_contexts(self, count: int,
                         hooks: list[GemmHooks] | None,
@@ -737,6 +539,72 @@ class DeployedPlanner:
             self._clean_lanes.append(self.kernel_context())
         return self._clean_lanes[:count]
 
+    def _decode_lanes(self, requests: list[tuple[str, int]],
+                      contexts: list[KernelContext] | None = None,
+                      kernel: FloatKernel | None = None,
+                      max_new_tokens: int | None = None,
+                      use_cache: bool = True, collect_logits: bool = False
+                      ) -> list[tuple[list[int], list[np.ndarray]]]:
+        """Greedy-decode ``(task_name, progress)`` prompts as one lane group.
+
+        Quantized lanes run through a :class:`~repro.quant.BatchedKernel`
+        over the active lanes' ``contexts``, rebuilt when a lane emits EOS
+        and drops out (its cache rows are compacted away); float decoding
+        passes ``kernel`` instead.  Returns ``(tokens, logits)`` per prompt.
+        """
+        limit = max_new_tokens or self.config.max_plan_length + 1
+        tokens = [list(self.vocab.encode_prompt(task_name, progress))
+                  for task_name, progress in requests]
+        cache = KVCache(len(self.weights.layers), len(tokens[0]) + limit,
+                        self.config.dim, lanes=len(requests))
+        generated: list[list[int]] = [[] for _ in requests]
+        logits: list[list[np.ndarray]] = [[] for _ in requests]
+        active = list(range(len(requests)))
+        step_kernel = kernel
+        for _ in range(limit):
+            if step_kernel is None:
+                step_kernel = BatchedKernel.over([contexts[i] for i in active])
+            if not use_cache:
+                cache.reset()
+            rows = self._forward_lanes([tokens[i] for i in active],
+                                       cache.length, cache, step_kernel)
+            # Per-step memo release: the memo never hits across steps (each
+            # step stacks fresh activations) but would otherwise pin the
+            # last stack for the kernel's lifetime.
+            step_kernel.release_inputs()
+            keep = []
+            for slot, (lane, row) in enumerate(zip(active, rows)):
+                if collect_logits:
+                    logits[lane].append(np.asarray(row, dtype=np.float64).copy())
+                next_token = int(np.argmax(row))
+                generated[lane].append(next_token)
+                tokens[lane].append(next_token)
+                if next_token != self.vocab.eos:
+                    keep.append(slot)
+            if not keep:
+                break
+            if len(keep) < len(active):
+                cache.compact(keep)
+                active = [active[slot] for slot in keep]
+                if kernel is None:
+                    step_kernel = None
+        return list(zip(generated, logits))
+
+    def decode_tokens(self, task_name: str, progress: int = 0,
+                      hooks: GemmHooks | None = None, quantized: bool = True,
+                      use_cache: bool = True, collect_logits: bool = False,
+                      max_new_tokens: int | None = None,
+                      ) -> tuple[list[int], list[np.ndarray]]:
+        """Greedy-decode completion tokens (and optionally per-step logits).
+
+        A one-lane :meth:`decode_tokens_batch`; the raw interface behind
+        :meth:`plan`.
+        """
+        return self.decode_tokens_batch(
+            [(task_name, progress)], hooks=None if hooks is None else [hooks],
+            quantized=quantized, use_cache=use_cache,
+            collect_logits=collect_logits, max_new_tokens=max_new_tokens)[0]
+
     def decode_tokens_batch(self, requests: list[tuple[str, int]],
                             hooks: list[GemmHooks] | None = None,
                             quantized: bool = True, use_cache: bool = True,
@@ -748,65 +616,24 @@ class DeployedPlanner:
 
         All prompts step together through :class:`~repro.quant.BatchedKernel`
         — one quantize + one stacked GEMM per projection per step — while KV
-        caches, fault-injection RNG streams, and counters stay per prompt
+        cache rows, fault-injection RNG streams, and counters stay per prompt
         (``hooks`` / ``contexts`` supply one entry per prompt).  A prompt
-        drops out of the batch when it emits EOS.  Results are bit-identical
-        to calling :meth:`decode_tokens` per prompt — tokens, logits, and
-        counters, fault-free and under injection, cached or not (the batched
-        equivalence tests assert all of it).  ``quantized=False`` falls back
-        to serial float decoding.
+        drops out of the batch when it emits EOS.  Results equal one-lane
+        calls per prompt bit for bit — tokens, logits, and counters,
+        fault-free and under injection, cached or not.  ``quantized=False``
+        decodes in float, one prompt at a time.
         """
         requests = list(requests)
         if not requests:
             return []
+        options = dict(max_new_tokens=max_new_tokens, use_cache=use_cache,
+                       collect_logits=collect_logits)
         if not quantized:
-            return [self.decode_tokens(task_name, progress, quantized=False,
-                                       use_cache=use_cache,
-                                       collect_logits=collect_logits,
-                                       max_new_tokens=max_new_tokens)
-                    for task_name, progress in requests]
+            kernel = FloatKernel(self._float_weight)
+            return [self._decode_lanes([request], kernel=kernel, **options)[0]
+                    for request in requests]
         lane_contexts = self._batch_contexts(len(requests), hooks, contexts)
-        limit = max_new_tokens or self.config.max_plan_length + 1
-        lanes = []
-        for (task_name, progress), context in zip(requests, lane_contexts):
-            tokens = list(self.vocab.encode_prompt(task_name, progress))
-            lanes.append(_DecodeLane(
-                tokens=tokens, cache=self._new_cache(len(tokens) + limit),
-                context=context, logits=[] if collect_logits else None))
-        kernel = None
-        mirror = None
-        kernel_lanes: list[_DecodeLane] = []
-        for _ in range(limit):
-            active = [lane for lane in lanes if not lane.done]
-            if not active:
-                break
-            if use_cache:
-                starts = [lane.cache.length for lane in active]
-            else:
-                for lane in active:
-                    lane.cache.reset()
-                starts = [0] * len(active)
-            # The batched kernel is stateless apart from its quantized-input
-            # memo, so reuse it (and the K/V mirror, rebuilt by backfilling
-            # from the lane caches) across steps until a lane drops at EOS.
-            if kernel is None or active != kernel_lanes:
-                kernel = BatchedKernel([lane.context for lane in active])
-                kernel_lanes = active
-                mirror = _BatchedKVMirror(active) if use_cache else None
-            logits = self._forward_step_batch(active, starts, kernel, mirror)
-            # Per-step memo release: the memo never hits across steps (each
-            # step stacks fresh activations) but would otherwise pin the last
-            # stack for the kernel's lifetime.
-            kernel.release_inputs()
-            for lane, row in zip(active, logits):
-                if lane.logits is not None:
-                    lane.logits.append(np.asarray(row, dtype=np.float64).copy())
-                next_token = int(np.argmax(row))
-                lane.generated.append(next_token)
-                lane.tokens.append(next_token)
-                if next_token == self.vocab.eos:
-                    lane.done = True
-        return [(lane.generated, lane.logits or []) for lane in lanes]
+        return self._decode_lanes(requests, lane_contexts, **options)
 
     def plan_batch(self, requests: list[tuple[str, int]],
                    hooks: list[GemmHooks] | None = None,
@@ -815,8 +642,7 @@ class DeployedPlanner:
                    ) -> list[list[str]]:
         """Batched :meth:`plan`: one subtask plan per ``(task, progress)`` prompt.
 
-        Bit-identical to per-prompt :meth:`plan` calls with the matching
-        context/hooks — see :meth:`decode_tokens_batch`.
+        See :meth:`decode_tokens_batch`.
         """
         decoded = self.decode_tokens_batch(requests, hooks=hooks,
                                            quantized=quantized,
@@ -830,22 +656,25 @@ class DeployedPlanner:
              context: KernelContext | None = None) -> list[str]:
         """Produce a subtask plan for a task at the given completion progress.
 
-        ``use_cache`` selects KV-cached incremental decoding (the default) or
-        full-prefix recompute; ``context`` reuses a caller-owned kernel
-        context (e.g. one per trial) instead of building one per invocation.
+        A one-lane :meth:`plan_batch`.  ``use_cache`` selects KV-cached
+        incremental decoding (the default) or full-prefix recompute;
+        ``context`` reuses a caller-owned kernel context (e.g. one per
+        trial) instead of building one per invocation.
         """
-        kernel = self._kernel_for(hooks, quantized, context)
-        generated = self._decode(task_name, progress, kernel, max_new_tokens=None,
-                                 use_cache=use_cache)
-        return self.vocab.decode_plan(generated)
+        return self.plan_batch(
+            [(task_name, progress)], hooks=None if hooks is None else [hooks],
+            quantized=quantized, use_cache=use_cache,
+            contexts=None if context is None else [context])[0]
 
     def logits(self, task_name: str, progress: int = 0,
                hooks: GemmHooks | None = None, quantized: bool = True) -> np.ndarray:
         """Logits of the first completion token (used by resilience probes)."""
-        kernel = self._kernel_for(hooks, quantized)
+        kernel = self._one_lane(hooks, quantized)
         tokens = list(self.vocab.encode_prompt(task_name, progress))
-        cache = self._new_cache(len(tokens))
-        return self._forward_step(tokens, 0, cache, kernel)
+        cache = KVCache(len(self.weights.layers), len(tokens), self.config.dim)
+        logits = self._forward_lanes([tokens], 0, cache, kernel)[0]
+        kernel.release_inputs()
+        return logits
 
     # ------------------------------------------------------------------
     # Introspection used by the characterization experiments
@@ -856,10 +685,7 @@ class DeployedPlanner:
         """Capture pre-normalization residual activations during one forward."""
         self._activation_probe = {}
         try:
-            kernel = self._kernel_for(hooks, quantized)
-            tokens = list(self.vocab.encode_prompt(task_name, progress))
-            cache = self._new_cache(len(tokens))
-            self._forward_step(tokens, 0, cache, kernel)
+            self.logits(task_name, progress, hooks=hooks, quantized=quantized)
             return dict(self._activation_probe)
         finally:
             self._activation_probe = None

@@ -41,6 +41,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from ..hardware.energy import DEFAULT_ENERGY_MODEL
+from .metrics import Z_SCORES
+from .metrics import z_score as _z_score
 from .runtable import RunRecord, RunTable, _format_cell, is_run_table
 from .reporting import format_markdown_table
 
@@ -55,28 +57,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Deterministic statistics core
 # ----------------------------------------------------------------------
-
-#: Two-sided standard-normal quantiles z such that P(|Z| <= z) = confidence.
-#: Hardcoded (to the shortest repr of the true double) so pack artifacts do
-#: not depend on the scipy version; ``tests/test_analysis.py`` cross-checks
-#: them against ``scipy.stats.norm.ppf``.
-Z_SCORES = {
-    0.80: 1.2815515655446004,
-    0.90: 1.6448536269514722,
-    0.95: 1.959963984540054,
-    0.99: 2.5758293035489004,
-}
-
-
-def _z_score(confidence: float) -> float:
-    try:
-        return Z_SCORES[confidence]
-    except KeyError:
-        raise ValueError(
-            f"unsupported confidence {confidence!r}; pick one of "
-            f"{sorted(Z_SCORES)} (the z table is hardcoded so packs stay "
-            "byte-deterministic across scipy versions)") from None
-
 
 def wilson_interval(successes: int, trials: int,
                     confidence: float = 0.95) -> tuple[float, float]:

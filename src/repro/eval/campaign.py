@@ -18,14 +18,13 @@ seed, planner/controller :class:`~repro.core.create.ProtectionConfig` — and a
   auto-tuned by default) so very short trials amortize process-pool IPC;
   batching groups cells without reordering or reseeding them — and cuts the
   chunks at spec boundaries — so it cannot change results;
-* **vectorized** — consecutive cells of the same spec (identical system,
-  task and protections; only the seed differs) execute through
-  :meth:`~repro.agents.executor.MissionExecutor.run_trial_batch`, which
-  decodes all their planner prompts as one cross-prompt batched GEMM per
-  step.  The batched path is bit-identical to scalar execution (per-trial
-  RNG streams stay independent), engages automatically for same-spec groups
-  of two or more cells on planner-backed systems, and falls back to the
-  scalar cell-at-a-time path everywhere else; ``vector=False`` disables it;
+* **as lane groups** — consecutive cells of the same spec (identical
+  system, task and protections; only the seed differs) execute as the lanes
+  of one :meth:`~repro.agents.executor.MissionExecutor.run_trial_group`
+  call, which batches their planner decodes and controller forwards into
+  one stacked GEMM per projection per tick.  Every trial keeps its own RNG
+  streams, so a group's rows equal one-lane runs of its cells byte for
+  byte; ``vector=False`` caps every group at one cell;
 * **streamed to disk** — with an output directory, completed rows are
   appended to ``<out>/<name>.csv`` *as they finish* (flushed per row), so a
   campaign killed mid-flight leaves a crash-safe partial table behind;
@@ -420,28 +419,12 @@ def _plan_cache_state(executor) -> str:
     return state() if callable(state) else ""
 
 
-def _run_cell(cell: _Cell, executor: MissionExecutor) -> RunRecord:
-    """Execute one cell scalar-style and stamp its profile attribution."""
-    plan_cache = _plan_cache_state(executor)
-    start = time.perf_counter()
-    trial = executor.run_trial(cell.task, seed=cell.seed,
-                               planner_protection=cell.planner_protection,
-                               controller_protection=cell.controller_protection)
-    wall_time = time.perf_counter() - start
-    record = record_from_trial(trial, spec_key=cell.spec_key, condition=cell.condition,
-                               system=cell.system, task=cell.task, seed=cell.seed,
-                               trial_index=cell.trial_index, params=cell.params)
-    return replace(record, wall_time_s=wall_time, worker_id=_worker_id(),
-                   batch_size=1, vector_path="scalar", queue_backend="local",
-                   fleet_size=cell.fleet, plan_cache=plan_cache)
-
-
 def _spec_groups(cells: Sequence[_Cell]) -> list[list[_Cell]]:
     """Consecutive same-spec runs of a cell sequence, in order.
 
     Cells of one group share (system, task, protections) — a spec key hashes
-    exactly those — and differ only in seed, which is the shape the
-    vectorized trial path batches.  Grouping never reorders cells.
+    exactly those — and differ only in seed, which is the shape a lane group
+    runs.  Grouping never reorders cells.
     """
     groups: list[list[_Cell]] = []
     for cell in cells:
@@ -458,10 +441,9 @@ def _chunk_cells(cells: Sequence[_Cell], size: int) -> list[tuple[_Cell, ...]]:
 
     The flat ``cells[i:i+size]`` slicing this replaces ignored shape
     homogeneity: a chunk could straddle two specs, splitting each spec's
-    run across workers and shrinking the same-spec groups the vectorized
-    trial path batches.  Cutting at spec boundaries keeps every chunk a
-    single vectorizable group; no cell is reordered or reseeded, so the
-    canonical table is unchanged.
+    run across workers and shrinking the same-spec lane groups.  Cutting at
+    spec boundaries keeps every chunk a single lane group; no cell is
+    reordered or reseeded, so the canonical table is unchanged.
     """
     chunks: list[tuple[_Cell, ...]] = []
     run: list[_Cell] = []
@@ -475,59 +457,46 @@ def _chunk_cells(cells: Sequence[_Cell], size: int) -> list[tuple[_Cell, ...]]:
     return chunks
 
 
-def _vectorizable(cells: Sequence[_Cell], executor: MissionExecutor) -> bool:
-    """Whether a same-spec group can take the batched trial path.
+def _lane_groups(cells: Sequence[_Cell], vector: bool = True
+                 ) -> list[Sequence[_Cell]]:
+    """The lane groups a cell sequence executes as, in order.
 
-    Batching needs at least two lanes to amortize anything and a planner to
-    batch over; planner-less systems run scalar (their trials have no decode
-    loop for cross-prompt batching to accelerate).  ``getattr`` keeps
-    duck-typed executor stand-ins (wrappers exposing only ``run_trial``) on
-    the scalar path instead of crashing the campaign.
+    Each same-spec run is one group; ``fleet > 1`` specs cut it into
+    co-stepped fleets of ``fleet`` agents, and ``vector=False`` into single
+    cells.  Result columns never depend on the cut — it only reshapes which
+    lanes share a kernel pass.
     """
-    return (len(cells) >= 2
-            and getattr(executor, "planner", None) is not None
-            and hasattr(executor, "run_trial_batch"))
+    groups: list[Sequence[_Cell]] = []
+    for run in _spec_groups(cells):
+        if not vector:
+            size = 1
+        elif run[0].fleet > 1:
+            size = run[0].fleet
+        else:
+            size = len(run)
+        groups.extend(run[lo:lo + size] for lo in range(0, len(run), size))
+    return groups
 
 
-def _run_cell_batch(cells: Sequence[_Cell], executor: MissionExecutor) -> list[RunRecord]:
-    """Execute one same-spec group through the vectorized trial path.
+def _run_lane_group(cells: Sequence[_Cell],
+                    executor: MissionExecutor) -> list[RunRecord]:
+    """Run one same-spec lane group and stamp its profile attribution.
 
-    All lanes ride :meth:`MissionExecutor.run_trial_batch` — one cross-prompt
-    batched GEMM per decode step *and* per controller tick, per-trial RNG
-    streams independent — so the result columns are bit-identical to running
-    each cell through :func:`_run_cell`.  Wall time is attributed evenly
-    across the group.
-
-    ``fleet > 1`` specs additionally cut the group into co-stepped fleets of
-    ``fleet`` agents, stamped ``vector_path="fleet"``; a trailing single-agent
-    remainder runs scalar.  Result columns are unaffected — the fleet axis
-    only reshapes which lanes share a kernel pass.
+    All lanes ride one :meth:`MissionExecutor.run_trial_group` call.  Wall
+    time is attributed evenly across the group; ``vector_path`` is
+    ``scalar`` for a one-lane group, ``fleet`` for a fleet of a
+    ``fleet > 1`` spec, and ``batched`` otherwise.
     """
-    first = cells[0]
-    if first.fleet > 1:
-        records = []
-        for lo in range(0, len(cells), first.fleet):
-            chunk = cells[lo:lo + first.fleet]
-            if len(chunk) == 1:
-                records.append(_run_cell(chunk[0], executor))
-            else:
-                records.extend(_run_lane_group(chunk, executor,
-                                               vector_path="fleet"))
-        return records
-    return _run_lane_group(cells, executor, vector_path="batched")
-
-
-def _run_lane_group(cells: Sequence[_Cell], executor: MissionExecutor,
-                    vector_path: str) -> list[RunRecord]:
-    """Run one batched lane group and stamp its profile attribution."""
     first = cells[0]
     plan_cache = _plan_cache_state(executor)
     start = time.perf_counter()
-    trials = executor.run_trial_batch(
-        first.task, [cell.seed for cell in cells],
+    trials = executor.run_trial_group(
+        [(cell.task, cell.seed) for cell in cells],
         planner_protection=first.planner_protection,
         controller_protection=first.controller_protection)
     share = (time.perf_counter() - start) / len(cells)
+    vector_path = "scalar" if len(cells) == 1 \
+        else "fleet" if first.fleet > 1 else "batched"
     worker = _worker_id()
     records = []
     for cell, trial in zip(cells, trials):
@@ -664,22 +633,18 @@ def _pool_run_batch(cells: tuple[_Cell, ...], vector: bool = True,
                     shm_plans: dict | None = None) -> list[RunRecord]:
     """Worker entry point: run a batch of cells on this worker's cached systems.
 
-    Cells arrive in campaign order and run in that order; every trial is
-    seeded by its own cell, so batch composition cannot change results — it
-    only amortizes the per-task pickle/IPC cost over ``len(cells)`` trials.
-    Same-spec runs within the batch additionally take the vectorized trial
-    path (see :func:`_run_cell_batch`) unless ``vector`` is off.
-    ``shm_plans`` carries the parent's weight-plane manifests (see
+    Cells arrive in campaign order and run in that order, as the lane
+    groups of :func:`_lane_groups`; every trial is seeded by its own cell,
+    so batch composition cannot change results — it only amortizes the
+    per-task pickle/IPC cost over ``len(cells)`` trials.  ``shm_plans``
+    carries the parent's weight-plane manifests (see
     :func:`_publish_system_plans`); workers attach zero-copy instead of
     holding private plan arrays, falling back silently when they can't.
     """
     records = []
-    for group in _spec_groups(cells):
+    for group in _lane_groups(cells, vector):
         executor = _worker_executor(group[0].system, shm_plans)
-        if vector and _vectorizable(group, executor):
-            records.extend(_run_cell_batch(group, executor))
-        else:
-            records.extend(_run_cell(cell, executor) for cell in group)
+        records.extend(_run_lane_group(group, executor))
     return records
 
 
@@ -878,16 +843,14 @@ class CampaignRunner:
         auto-tunes to roughly four batches per worker, capped at
         ``32`` cells; ``1`` restores one-cell-per-task dispatch.  Batching
         never reorders or reseeds cells — and chunks are cut at spec
-        boundaries so each worker task stays a single vectorizable group —
-        so any value produces the same canonical table byte for byte.
+        boundaries so each worker task stays a single lane group — so any
+        value produces the same canonical table byte for byte.
     vector:
-        When true (default), consecutive same-spec cells execute through the
-        batched trial path (:meth:`MissionExecutor.run_trial_batch`): their
-        planner prompts decode as one cross-prompt batched GEMM per step.
-        The batched path is bit-identical to scalar execution; ``False``
-        forces cell-at-a-time trials (useful for profiling comparisons —
-        the ``vector_path`` sidecar column records which path ran each
-        cell).
+        When true (default), consecutive same-spec cells run as the lanes
+        of one :meth:`MissionExecutor.run_trial_group` call.  ``False``
+        caps every group at one cell (one-lane groups; useful for profiling
+        comparisons — the ``vector_path`` sidecar column records each
+        cell's group shape).  Results are byte-identical either way.
     shard:
         Execute only this static slice of the cell grid (see
         :mod:`repro.eval.shard`); ``None`` (default) inherits the ambient
@@ -1032,20 +995,16 @@ class CampaignRunner:
 
     def _run_serial(self, cells: list[_Cell],
                     sink: Callable[[RunRecord], None]) -> list[RunRecord]:
-        """Execute cells in-process, streaming each row as it completes.
+        """Execute cells in-process, streaming each group's rows as it completes.
 
-        Same-spec runs take the vectorized trial path when enabled; their
-        rows reach the sink together once the batch completes (the batch is
-        the unit of execution), scalar cells stream one by one as before.
+        A lane group is the unit of execution, so its rows reach the sink
+        together; with ``vector=False`` every cell is its own group and rows
+        stream one by one.
         """
         records: list[RunRecord] = []
-        for group in _spec_groups(cells):
+        for group in _lane_groups(cells, self.vector):
             executor = self._executor_for(group[0].system)
-            if self.vector and _vectorizable(group, executor):
-                produced = _run_cell_batch(group, executor)
-            else:
-                produced = (_run_cell(cell, executor) for cell in group)
-            for record in produced:
+            for record in _run_lane_group(group, executor):
                 sink(record)
                 records.append(record)
         return records

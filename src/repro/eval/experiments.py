@@ -25,7 +25,7 @@ from ..agents.jarvis import EmbodiedSystem
 from ..agents import platforms
 from ..core.baselines import AbftModel, DmrModel
 from ..core.create import CreateConfig, ProtectionConfig
-from ..core.policies import ConstantVoltagePolicy, REFERENCE_POLICIES, VoltagePolicy, pareto_front
+from ..core.policies import ConstantVoltagePolicy, REFERENCE_POLICIES, VoltagePolicy
 from ..core.voltage_scaling import VoltageScalingConfig
 from ..faults.models import UniformErrorModel, VoltageErrorModel
 from ..hardware.accelerator import Accelerator
@@ -411,17 +411,6 @@ def interval_sweep(system: SystemLike, task: str, intervals: list[int] | None = 
                             name=slugify(f"interval-sweep-{task}"))
     return {interval: campaign.summary(spec.condition)
             for interval, spec in zip(intervals, specs)}
-
-
-def policy_search_evaluation(system: EmbodiedSystem, task: str,
-                             candidates: list[VoltagePolicy],
-                             num_trials: int = 6, seed: int = 0) -> list[int]:
-    """Evaluate candidate policies and return the indices on the Pareto front."""
-    evaluations = vs_evaluation(system, task, policies=candidates, constant_voltages=[],
-                                num_trials=num_trials, seed=seed)
-    success = np.array([e.success_rate for e in evaluations])
-    voltage = np.array([e.effective_voltage for e in evaluations])
-    return pareto_front(success, voltage)
 
 
 # ----------------------------------------------------------------------

@@ -104,9 +104,9 @@ class RunRecord:
     ``worker_id``, ``batch_size`` and ``vector_path`` are execution-profile
     metadata filled in by the campaign engine (defaults for rows loaded from
     a canonical table, which does not persist them).  ``batch_size`` is the
-    size of the trial group the cell executed in and ``vector_path`` records
-    which execution path ran it (``"batched"`` for the vectorized
-    ``run_trial_batch`` path, ``"scalar"`` for cell-at-a-time execution).
+    size of the lane group the cell executed in and ``vector_path`` names
+    the group's shape (``"scalar"`` for one lane, ``"fleet"`` for a fleet of
+    a ``fleet > 1`` spec, ``"batched"`` otherwise).
     """
 
     spec_key: str

@@ -41,10 +41,6 @@ class Module:
             self.__dict__.setdefault("_modules", OrderedDict())[name] = value
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, param: Parameter) -> None:
-        self._parameters[name] = param
-        object.__setattr__(self, name, param)
-
     def add_module(self, name: str, module: "Module") -> None:
         self._modules[name] = module
         object.__setattr__(self, name, module)

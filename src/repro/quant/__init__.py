@@ -5,9 +5,10 @@ Two execution paths share one arithmetic definition:
 * :func:`quantized_matmul` / :class:`QuantizedLinear` — the per-call
   reference pipeline (quantize → INT GEMM → wrap → inject → clamp →
   dequantize);
-* :class:`KernelContext` — the fused runtime used by deployed agents: the
-  same pipeline with pre-resolved scales/bounds, preallocated accumulator
-  workspaces and unified :class:`KernelCounters`.
+* :class:`BatchedKernel` over per-lane :class:`KernelContext` objects —
+  the fused runtime used by deployed agents: the same pipeline with
+  pre-resolved scales/bounds, lanes row-stacked into one GEMM, and unified
+  per-lane :class:`KernelCounters`.
 """
 
 from .qtypes import (

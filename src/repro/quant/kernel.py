@@ -5,45 +5,47 @@ paper's accelerator dataflow (quantize → INT GEMM → 24-bit wrap → injectio
 anomaly clearance → dequantize), but it pays per-call costs that dominate
 trial time at surrogate scale: scale/bound lookups through ``QuantParams``
 objects, fresh int64 accumulator allocations, and closure-based dispatch.
-:class:`KernelContext` is the same pipeline compiled into a long-lived
-runtime object:
+This module is the same pipeline compiled into long-lived runtime objects:
 
 * every registered :class:`~repro.quant.qgemm.QuantizedLinear` is flattened
   into a plain-attribute entry (inverse input scale, combined output scale,
-  integer anomaly bound, bias) resolved with a single dict lookup per call;
-* int64 accumulator workspaces are preallocated per output shape and reused
-  across calls (the dequantized float output is always a fresh array, so
-  callers can hold onto results safely);
+  integer anomaly bound, bias) resolved with a single dict lookup per call
+  (the dequantized float output is always a fresh array, so callers can
+  hold onto results safely);
 * injection and anomaly clearance run as in-pipeline stages on the shared
   injector / detector objects, so their per-object stats keep working, while
-  the context additionally maintains one unified :class:`KernelCounters`
-  that energy/latency accounting can consume instead of reading
-  ``GemmStats`` + ``InjectionStats`` + ``AnomalyStats`` separately.
+  each :class:`KernelContext` additionally maintains one unified
+  :class:`KernelCounters` that energy/latency accounting can consume
+  instead of reading ``GemmStats`` + ``InjectionStats`` + ``AnomalyStats``
+  separately.
 
 ``qgemm`` results are bit-identical to ``quantized_matmul`` — the fused path
 changes bookkeeping, not arithmetic — which the kernel equivalence tests
 assert.
 
-Batched execution
------------------
-Two further fusion levels build on the same exactness argument (a float64
-GEMM over integer-valued operands is exact below 2^52, and every per-element
-pipeline stage — wrap, injection, clamp, dequantize — commutes with row or
+One pipeline, N lanes
+---------------------
+:class:`BatchedKernel` is the only implementation of the pipeline.  It
+row-stacks the inputs of N independent per-lane :class:`KernelContext`
+objects, quantizes once and runs one GEMM for the whole stack, then applies
+each lane's injector / clamp / counters to its own row slice.  A
+:class:`KernelContext` holds only per-lane state (hooks, injector RNG stream,
+counters, plan); its own :meth:`KernelContext.qgemm` is a one-lane entry into
+that pipeline.  Two exactness arguments make every lane count equivalent (a
+float64 GEMM over integer-valued operands is exact below 2^52, and every
+per-element stage — wrap, injection, clamp, dequantize — commutes with row or
 column slicing):
 
-* **Fused component groups** (:meth:`KernelContext.qgemm_multi`) stack the
-  weight matrices of components that read the same input under one shared
+* **Lanes** keep their own RNG streams and see row blocks of exactly the
+  shapes a one-lane call would produce, so N lanes are bit-identical to N
+  one-lane calls — fault-free and under injection.
+* **Component groups** (:meth:`BatchedKernel.qgemm_multi`) stack the weight
+  matrices of components that read the same input under one shared
   calibration scale (Q/K/V, Gate/Up) column-wise and run them as one GEMM.
   Injection, anomaly clearance, MAC attribution and dequantization still run
   per component on the column slice, so a fault targeted at ``*.k`` lands
-  only in the K slice and every counter matches the unfused path bit for bit.
-* **Cross-prompt batching** (:class:`BatchedKernel`) row-stacks the inputs of
-  N independent per-prompt :class:`KernelContext` objects and runs one GEMM
-  for the whole batch, then applies each lane's injector / clamp / counters
-  to its own row slice.  Each lane keeps its own RNG stream and sees row
-  blocks of exactly the shapes its serial decode would produce, so batched
-  output is bit-identical to N serial decodes — fault-free and under
-  injection.
+  only in the K slice and every counter matches separate calls bit for bit.
+  A single-component call is the one-column-block case of the same group.
 
 Logical-row accounting
 ----------------------
@@ -205,40 +207,43 @@ class _FusedEntry:
     norm) can run as one GEMM over the column-concatenated weights.  The
     per-component stages (injection, clamp, dequantize, counters) keep using
     the original :class:`_KernelEntry` objects on column slices, so fusion
-    never changes a bit of any component's output or bookkeeping.
+    never changes a bit of any component's output or bookkeeping.  A
+    one-component group aliases its entry's arrays (no copy): it is how a
+    plain :meth:`BatchedKernel.qgemm` enters the same pipeline.
     """
 
-    __slots__ = ("slices", "weight_q", "weight_f", "x_scale", "in_features",
-                 "out_features", "qmin", "qmax", "wrap_free", "exact_float",
-                 "scale_row", "component_macs", "macs_per_row", "uniform_scale",
-                 "any_bias")
+    __slots__ = ("slices", "components", "weight_q", "weight_f", "x_scale",
+                 "in_features", "out_features", "qmin", "qmax", "wrap_free",
+                 "exact_float", "scale")
 
     def __init__(self, names: tuple[str, ...], entries: list[_KernelEntry]):
-        self.slices: list[tuple[str, _KernelEntry, int, int]] = []
+        slices = []
         offset = 0
         for name, entry in zip(names, entries):
-            self.slices.append((name, entry, offset, offset + entry.out_features))
+            slices.append((name, entry, offset, offset + entry.out_features))
             offset += entry.out_features
+        self.slices: tuple[tuple[str, _KernelEntry, int, int], ...] = tuple(slices)
         # Per-call counter template: (name, macs-per-logical-row, columns)
-        # per component, plus the group total, so the hot path records MACs
-        # with plain arithmetic instead of per-slice method dispatch.
-        self.component_macs = tuple(
+        # per component, so the hot path records MACs with plain arithmetic.
+        self.components = tuple(
             (name, entry.in_features * entry.out_features, entry.out_features)
-            for name, entry, _, _ in self.slices)
-        self.macs_per_row = sum(per_row for _, per_row, _ in self.component_macs)
-        self.any_bias = any(entry.bias is not None for entry in entries)
-        self.weight_q = np.concatenate([e.weight_q for e in entries], axis=1)
-        self.weight_f = np.concatenate([e.weight_f for e in entries], axis=1)
-        # Full-width dequant row: one contiguous multiply instead of one
-        # strided multiply per column slice.  Each column holds exactly its
-        # component's scalar ``combined_scale``, so the product is
-        # bit-identical to per-slice scaling.
-        self.scale_row = np.concatenate([
-            np.full(e.out_features, e.combined_scale) for e in entries])
-        # When every component shares one combined scale, a scalar multiply
-        # produces the same per-element float product as the full row.
+            for name, entry, _, _ in slices)
+        if len(entries) == 1:
+            self.weight_q = entries[0].weight_q
+            self.weight_f = entries[0].weight_f
+        else:
+            self.weight_q = np.concatenate([e.weight_q for e in entries], axis=1)
+            self.weight_f = np.concatenate([e.weight_f for e in entries], axis=1)
+        # Dequantization factor: a scalar when every component shares one
+        # combined scale, else a full-width row holding each component's
+        # scalar in its columns.  Both give the per-element product of
+        # per-component scaling bit for bit.
         scales = {e.combined_scale for e in entries}
-        self.uniform_scale = scales.pop() if len(scales) == 1 else None
+        if len(scales) == 1:
+            self.scale = entries[0].combined_scale
+        else:
+            self.scale = np.concatenate([
+                np.full(e.out_features, e.combined_scale) for e in entries])
         first = entries[0]
         self.x_scale = first.x_scale
         self.in_features = first.in_features
@@ -264,12 +269,14 @@ class KernelPlan:
     A plan holds everything about a set of pre-quantized layers that does
     not change between trials: the flattened :class:`_KernelEntry` constants
     (integer weights, their float copies, scales, clamp bounds), the memo of
-    column-stacked :class:`_FusedEntry` group layouts, and the quantization
+    :class:`_FusedEntry` group layouts (keyed by a component name for a
+    one-component group, by a name tuple for a stacked one), and the
+    quantization
     spec.  Building those is the dominant cost of ``KernelContext``
     construction — float copies of every weight matrix plus a per-layer
     column-sum reduction — so deployed agents build one plan per calibration
     and hand it to every per-trial context, which then only allocates its
-    tiny mutable state (counters, hook wiring, input memo).
+    tiny mutable state (counters, hook wiring).
 
     ``content_hash`` is a SHA-256 over the spec, layer names, scales, bounds
     and weight bytes: two plans with equal hashes are bit-identical, which is
@@ -294,7 +301,7 @@ class KernelPlan:
                 raise ValueError(
                     f"layer {name!r} uses {layer.spec}, plan uses {spec}")
             self.entries[name] = _KernelEntry(layer)
-        self.fused_memo: dict[tuple[str, ...], _FusedEntry | None] = {}
+        self.fused_memo: dict[str | tuple[str, ...], _FusedEntry | None] = {}
         self.content_hash = self.hash_layers(layers, spec)
         #: True when the entry arrays live in an attached shared-memory
         #: segment rather than process-private memory.
@@ -346,7 +353,7 @@ class KernelPlan:
 
 
 class KernelContext:
-    """Owns pre-quantized weights, workspace buffers, and the fused pipeline.
+    """Per-lane state of the fused pipeline: hooks, injector RNG, counters, plan.
 
     Parameters
     ----------
@@ -367,10 +374,13 @@ class KernelContext:
     plan:
         Optional shared :class:`KernelPlan`.  A plan-backed context skips
         layer flattening entirely — construction touches no weight array —
-        and shares the plan's entries and fused-group memo with every other
+        and shares the plan's entries and group memo with every other
         context over the same plan.  ``layers``/``spec`` are taken from the
         plan; registering additional layers forks private copies first
         (copy-on-write), so a shared plan is never mutated.
+
+    The arithmetic lives in :class:`BatchedKernel`; :meth:`qgemm` and
+    :meth:`qgemm_multi` run this context as a one-lane group of it.
     """
 
     def __init__(self, layers: dict[str, QuantizedLinear] | None = None,
@@ -388,29 +398,18 @@ class KernelContext:
         self.counters = KernelCounters()
         if rng is not None and self.injector is not None:
             self.injector.reseed(rng)
-        # Wrap constants of the accumulator format, resolved once.
-        self._acc_bits = spec.accumulator_bits
-        self._acc_mask = spec.accumulator_mask
-        self._acc_sign = 1 << (spec.accumulator_bits - 1)
-        self._acc_span = 1 << spec.accumulator_bits
         self._plan = plan
         if plan is not None:
-            # Shared, read-only: entries and the fused-group memo alias the
-            # plan's own dicts (the memo fills in deterministically, so
-            # sharing it across contexts changes no results).
+            # Shared, read-only: entries and the group memo alias the plan's
+            # own dicts (the memo fills in deterministically, so sharing it
+            # across contexts changes no results).
             self._entries = plan.entries
             self._fused_entries = plan.fused_memo
         else:
             self._entries: dict[str, _KernelEntry] = {}
-            self._fused_entries: dict[tuple[str, ...], _FusedEntry | None] = {}
-        self._workspaces: dict[tuple[int, int], np.ndarray] = {}
-        # Quantized-input reuse: components sharing one calibration scale
-        # (e.g. Q/K/V projections reading the same normalized residual) reuse
-        # the integer input computed by the first of them.  Holding a
-        # reference to the source array keeps its id() from being recycled.
-        self._qx_source: np.ndarray | None = None
-        self._qx_scale = 0.0
-        self._qx: np.ndarray | None = None
+            self._fused_entries: dict[str | tuple[str, ...],
+                                      _FusedEntry | None] = {}
+        self._lane: BatchedKernel | None = None
         if layers:
             self.register_all(layers)
 
@@ -446,201 +445,72 @@ class KernelContext:
     def reset(self, rng: np.random.Generator | None = None) -> None:
         """O(1) per-trial reset: counters and input memo, never plan state.
 
-        Workspaces are kept (reuse across trials is the point); when ``rng``
-        is given the injector is reseeded, mirroring construction.
+        When ``rng`` is given the injector is reseeded, mirroring
+        construction.
         """
         self.counters.reset()
-        self._qx_source = None
-        self._qx_scale = 0.0
-        self._qx = None
+        if self._lane is not None:
+            self._lane.release_inputs()
         if rng is not None and self.injector is not None:
             self.injector.reseed(rng)
 
-    # ------------------------------------------------------------------
-    # Fused pipeline
-    # ------------------------------------------------------------------
-    def _workspace(self, rows: int, cols: int) -> np.ndarray:
-        """Reusable int64 accumulator buffer for one output shape."""
-        buffer = self._workspaces.get((rows, cols))
-        if buffer is None:
-            buffer = np.empty((rows, cols), dtype=np.int64)
-            self._workspaces[(rows, cols)] = buffer
-        return buffer
+    def _group(self, key: str | tuple[str, ...]) -> _FusedEntry | None:
+        """Memoized group layout: one component (a name) or a stack (a tuple).
 
-    def _quantize_input(self, entry: _KernelEntry, x: np.ndarray) -> np.ndarray:
-        """Integer-valued float input tensor, reused across equal-scale calls."""
-        if x is self._qx_source and entry.x_scale == self._qx_scale:
-            return self._qx
-        # Identical arithmetic to quantizer.quantize: scale, round, clip.
-        q = x / entry.x_scale
-        np.rint(q, out=q)
-        np.minimum(q, entry.qmax, out=q)
-        np.maximum(q, entry.qmin, out=q)
-        self._qx_source = x
-        self._qx_scale = entry.x_scale
-        self._qx = q
-        return q
+        ``None`` marks a tuple whose components cannot share one GEMM.
+        """
+        group = self._fused_entries.get(key, _UNRESOLVED)
+        if group is _UNRESOLVED:
+            if type(key) is str:
+                group = _FusedEntry((key,), [self._entries[key]])
+            else:
+                entries = [self._entries[name] for name in key]
+                group = _FusedEntry(key, entries) \
+                    if _FusedEntry.fusable(entries) else None
+            self._fused_entries[key] = group
+        return group
+
+    # ------------------------------------------------------------------
+    # One-lane entry points
+    # ------------------------------------------------------------------
+    @property
+    def lane(self) -> "BatchedKernel":
+        """This context as a one-lane :class:`BatchedKernel` (built once)."""
+        if self._lane is None:
+            self._lane = BatchedKernel([self])
+        return self._lane
 
     def qgemm(self, name: str, x: np.ndarray,
               logical_rows: int | None = None) -> np.ndarray:
         """Fused quantize → INT GEMM → wrap → inject → clamp → dequantize.
 
-        ``x`` is the float input (rows actually computed); ``logical_rows``
-        optionally overrides the row count used for MAC accounting (see the
-        module docstring).  Returns a fresh float array, bit-identical to
-        :func:`repro.quant.quantized_matmul` on the same operands.
+        ``x`` is the float input (rows actually computed; leading axes are
+        flattened); ``logical_rows`` optionally overrides the row count used
+        for MAC accounting (see the module docstring).  Returns a fresh float
+        array, bit-identical to :func:`repro.quant.quantized_matmul` on the
+        same operands.
         """
-        entry = self._entries[name]
-        x_q = self._quantize_input(entry, x)
-        rows = x_q.shape[0] if x_q.ndim == 2 else int(np.prod(x_q.shape[:-1]))
-
-        macs = (logical_rows if logical_rows is not None else rows) \
-            * entry.in_features * entry.out_features
-        outputs = rows * entry.out_features
-        self.counters.record_gemm(name, macs, outputs)
-        if self.stats is not None:
-            self.stats.record(name, macs, outputs)
-
-        injector = self.injector
-        if entry.exact_float and entry.wrap_free and injector is None:
-            # Fault-free fast path: the BLAS GEMM over integer-valued floats
-            # is exact and wrapping is the identity, so the accumulator never
-            # needs to materialize as int64.
-            acc = x_q @ entry.weight_f
-            if self.clamp is not None and entry.bound_acc is not None:
-                acc = self._clamp_stage(acc, entry.bound_acc, name)
-            acc *= entry.combined_scale
-            out = acc
-        else:
-            if entry.exact_float:
-                acc = (x_q @ entry.weight_f).astype(np.int64)
-            else:
-                acc = self._workspace(rows, entry.out_features)
-                np.matmul(x_q.astype(np.int64).reshape(rows, entry.in_features),
-                          entry.weight_q, out=acc)
-            if not entry.wrap_free:
-                # Finite accumulator width, in place.
-                acc &= self._acc_mask
-                acc[acc >= self._acc_sign] -= self._acc_span
-            if injector is not None:
-                flipped_before = injector.stats.bits_flipped
-                corrupted_before = injector.stats.elements_corrupted
-                acc = injector.inject(acc, self.spec, component=name)
-                self.counters.bits_flipped += (
-                    injector.stats.bits_flipped - flipped_before)
-                self.counters.elements_corrupted += (
-                    injector.stats.elements_corrupted - corrupted_before)
-            if self.clamp is not None and entry.bound_acc is not None:
-                acc = self._clamp_stage(acc, entry.bound_acc, name)
-            out = acc.astype(np.float64)
-            out *= entry.combined_scale
-
-        if entry.bias is not None:
-            out += entry.bias
-        if x.ndim != 2:
-            out = out.reshape(*x.shape[:-1], entry.out_features)
-        return out
-
-    def _fused(self, names: tuple[str, ...]) -> _FusedEntry | None:
-        """Memoized column-stacked entry for a component group (None: unfusable)."""
-        if names in self._fused_entries:
-            return self._fused_entries[names]
-        entries = [self._entries[name] for name in names]
-        fused = _FusedEntry(names, entries) if _FusedEntry.fusable(entries) else None
-        self._fused_entries[names] = fused
-        return fused
+        flat = x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
+        rows = flat.shape[0]
+        out = (self._lane or self.lane).qgemm(
+            name, flat, [rows],
+            None if logical_rows is None else [logical_rows])
+        return out if flat is x else out.reshape(*x.shape[:-1], -1)
 
     def qgemm_multi(self, names: tuple[str, ...], x: np.ndarray,
                     logical_rows: int | None = None) -> tuple[np.ndarray, ...]:
-        """Run several components over one input as a single stacked GEMM.
+        """Several components over one input as a single stacked GEMM.
 
-        Components must share the input scale (Q/K/V and Gate/Up do by
-        construction — they read the same normalized residual); groups that
-        do not simply fall back to one :meth:`qgemm` per component.  Every
-        per-component stage — injection (RNG draws and targeting), anomaly
-        clearance, MAC/stat attribution, dequantization — runs on the
-        component's column slice in call order, so results and all counters
-        are bit-identical to separate :meth:`qgemm` calls.
+        Results and all counters are bit-identical to separate :meth:`qgemm`
+        calls in ``names`` order (see :meth:`BatchedKernel.qgemm_multi`).
         """
-        if type(names) is not tuple:
-            names = tuple(names)
-        fused = self._fused_entries.get(names, _UNRESOLVED)
-        if fused is _UNRESOLVED:
-            fused = self._fused(names)
-        if fused is None:
-            return tuple(self.qgemm(name, x, logical_rows) for name in names)
-
-        x_q = self._quantize_input(fused, x)
-        if x_q.ndim != 2:
-            x_q = x_q.reshape(-1, fused.in_features)
-        rows = x_q.shape[0]
-        logical = logical_rows if logical_rows is not None else rows
-        # Inlined per-component record_gemm (same arithmetic, no per-slice
-        # method dispatch — the 1-row decode step is dispatch-bound).
-        counters = self.counters
-        counters.gemm_calls += len(fused.slices)
-        counters.macs += logical * fused.macs_per_row
-        counters.output_elements += rows * fused.out_features
-        per_component = counters.macs_per_component
-        stats = self.stats
-        for name, per_row, columns in fused.component_macs:
-            macs = logical * per_row
-            per_component[name] = per_component.get(name, 0) + macs
-            if stats is not None:
-                stats.record(name, macs, rows * columns)
-
-        injector = self.injector
-        if fused.exact_float and fused.wrap_free and injector is None:
-            acc = x_q @ fused.weight_f
-            if self.clamp is not None:
-                for name, entry, lo, hi in fused.slices:
-                    if entry.bound_acc is not None:
-                        acc[:, lo:hi] = self._clamp_stage(
-                            acc[:, lo:hi], entry.bound_acc, name)
-            if fused.uniform_scale is not None:
-                acc *= fused.uniform_scale
-            else:
-                acc *= fused.scale_row
-            out = acc
-        else:
-            if fused.exact_float:
-                acc = (x_q @ fused.weight_f).astype(np.int64)
-            else:
-                acc = self._workspace(rows, fused.out_features)
-                np.matmul(x_q.astype(np.int64).reshape(rows, fused.in_features),
-                          fused.weight_q, out=acc)
-            if not fused.wrap_free:
-                # Wrapping is the identity on any wrap-free component slice,
-                # so the whole-accumulator wrap changes no fused component.
-                acc &= self._acc_mask
-                acc[acc >= self._acc_sign] -= self._acc_span
-            for name, entry, lo, hi in fused.slices:
-                if injector is not None:
-                    flipped_before = injector.stats.bits_flipped
-                    corrupted_before = injector.stats.elements_corrupted
-                    acc[:, lo:hi] = injector.inject(acc[:, lo:hi], self.spec,
-                                                    component=name)
-                    self.counters.bits_flipped += (
-                        injector.stats.bits_flipped - flipped_before)
-                    self.counters.elements_corrupted += (
-                        injector.stats.elements_corrupted - corrupted_before)
-                if self.clamp is not None and entry.bound_acc is not None:
-                    acc[:, lo:hi] = self._clamp_stage(
-                        acc[:, lo:hi], entry.bound_acc, name)
-            out = acc.astype(np.float64)
-            out *= fused.scale_row
-
-        if not fused.any_bias and x.ndim == 2:
-            return tuple(out[:, lo:hi] for _, _, lo, hi in fused.slices)
-        parts = []
-        for _, entry, lo, hi in fused.slices:
-            part = out[:, lo:hi]
-            if entry.bias is not None:
-                part += entry.bias
-            if x.ndim != 2:
-                part = part.reshape(*x.shape[:-1], entry.out_features)
-            parts.append(part)
-        return tuple(parts)
+        flat = x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
+        parts = (self._lane or self.lane).qgemm_multi(
+            names, flat, [flat.shape[0]],
+            None if logical_rows is None else [logical_rows])
+        if flat is x:
+            return parts
+        return tuple(part.reshape(*x.shape[:-1], -1) for part in parts)
 
     def _clamp_stage(self, acc: np.ndarray, bound: int, name: str) -> np.ndarray:
         """Anomaly clearance as a pipeline stage (tracks the unified counters)."""
@@ -652,23 +522,19 @@ class KernelContext:
                 clamp_stats.elements_clamped - clamped_before)
         return acc
 
-    def reset_counters(self) -> None:
-        self.counters.reset()
-
 
 class BatchedKernel:
-    """Cross-prompt batched execution over N per-prompt kernel contexts.
+    """The quantized pipeline over N lanes, one :class:`KernelContext` each.
 
-    The batched planner decode row-stacks the activations of N prompts and
-    calls :meth:`qgemm` / :meth:`qgemm_multi` with ``lane_rows`` giving each
-    prompt's row count in the stack.  Quantization and the (IN)T GEMM run
-    once for the whole stack; every per-lane stage — MAC/stat attribution,
-    fault injection with the lane's own RNG stream, anomaly clearance —
-    runs on the lane's row slice through the lane's own
-    :class:`KernelContext`.  Each lane's injector therefore sees tensors of
-    exactly the shapes (and values) its serial decode would produce, in the
-    same call order, so batched execution is bit-identical to N serial
-    decodes, fault-free and under injection.
+    Callers row-stack the activations of N lanes and call :meth:`qgemm` /
+    :meth:`qgemm_multi` with ``lane_rows`` giving each lane's row count in
+    the stack.  Quantization and the (IN)T GEMM run once for the whole
+    stack; every per-lane stage — MAC/stat attribution, fault injection with
+    the lane's own RNG stream, anomaly clearance — runs on the lane's row
+    slice through the lane's own context.  Each lane's injector therefore
+    sees tensors of exactly the shapes (and values) a one-lane call would
+    produce, in the same call order, so N lanes are bit-identical to N
+    one-lane calls, fault-free and under injection.
 
     All contexts must be registered over the same deployed model (same
     component names, scales, and quantization spec); lanes may differ in
@@ -686,164 +552,82 @@ class BatchedKernel:
                 raise ValueError(
                     "all batched contexts must register the same components")
         self.contexts = list(contexts)
-        self.spec = host.spec
+        self.spec = spec = host.spec
         self._host = host
+        # Wrap constants of the accumulator format, resolved once.
+        self._acc_mask = spec.accumulator_mask
+        self._acc_sign = 1 << (spec.accumulator_bits - 1)
+        self._acc_span = 1 << spec.accumulator_bits
         self._qx_source: np.ndarray | None = None
         self._qx_scale = 0.0
         self._qx: np.ndarray | None = None
         # Hooks are fixed at context construction, so hoist the "does any
         # lane inject / clamp" checks out of the per-call hot path; when no
-        # lane has hooks the per-lane stage loops are skipped entirely.
+        # lane has hooks the per-lane stage loop is skipped entirely.
         self._faulty = any(c.injector is not None for c in self.contexts)
         self._hooked = self._faulty or any(
             c.clamp is not None for c in self.contexts)
+        # Each lane's counter objects, resolved once (they are updated in
+        # place, never replaced).
+        self._counters = [(c.counters, c.counters.macs_per_component, c.stats)
+                          for c in self.contexts]
         self._bounds_memo: dict[tuple[int, ...], list[tuple[int, int]]] = {}
 
-    def _quantize_input(self, entry, x: np.ndarray) -> np.ndarray:
-        """Stack-level quantized-input memo (same arithmetic as the contexts')."""
-        if x is self._qx_source and entry.x_scale == self._qx_scale:
-            return self._qx
-        q = x / entry.x_scale
-        np.rint(q, out=q)
-        np.minimum(q, entry.qmax, out=q)
-        np.maximum(q, entry.qmin, out=q)
-        self._qx_source = x
-        self._qx_scale = entry.x_scale
-        self._qx = q
-        return q
+    @staticmethod
+    def over(contexts: list[KernelContext]) -> "BatchedKernel":
+        """A kernel over ``contexts``; one context reuses its own lane kernel."""
+        if len(contexts) == 1:
+            return contexts[0].lane
+        return BatchedKernel(contexts)
 
     def release_inputs(self) -> None:
-        """Drop the stack-level input memo (end of a decode / act step).
+        """Drop the quantized-input memo (end of a decode / act step).
 
         The memo only ever hits *within* one step — each step stacks fresh
         lane activations, so ``x is self._qx_source`` cannot match across
         steps — but without an explicit release it pins the last stacked
-        input (and its quantized copy) for the kernel's lifetime.  Batched
-        drivers call this once per step so long fleet missions don't grow
-        resident memory with stale activation stacks.
+        input (and its quantized copy) for the kernel's lifetime.  Drivers
+        call this once per step so long fleet missions don't grow resident
+        memory with stale activation stacks.
         """
         self._qx_source = None
         self._qx_scale = 0.0
         self._qx = None
 
-    def _bounds(self, lane_rows: list[int], total: int) -> list[tuple[int, int]]:
-        key = tuple(lane_rows)
-        bounds = self._bounds_memo.get(key)
-        if bounds is not None:
-            if key and bounds[-1][1] != total or not key and total:
-                raise ValueError(
-                    f"lane_rows sum to {sum(key)}, stack has {total} rows")
-            return bounds
+    def _bounds(self, key: tuple[int, ...]) -> list[tuple[int, int]]:
+        """Row range of every lane in the stack (memoized per lane_rows)."""
         bounds = []
         offset = 0
-        for rows in lane_rows:
+        for rows in key:
             bounds.append((offset, offset + rows))
             offset += rows
-        if offset != total:
-            raise ValueError(f"lane_rows sum to {offset}, stack has {total} rows")
         self._bounds_memo[key] = bounds
         return bounds
 
-    def _accumulate(self, entry, x: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Quantize + GEMM (+wrap) for the whole stack; returns (acc, is_int).
+    def _pipeline(self, group: _FusedEntry, x: np.ndarray,
+                  lane_rows: list[int],
+                  logical_rows: list[int] | None) -> np.ndarray:
+        """Quantize → GEMM → wrap → per-lane inject/clamp → dequantize.
 
-        Lanes without an injector could stay in the float domain, but a
-        single integer accumulator for the whole stack keeps one GEMM per
-        call; the int64 and float paths dequantize to identical bits (the
-        accumulator is exact below 2^52 either way).
+        Returns the full-width float output of the group (bias not yet
+        added).  Per lane, per component, the stages run in component order
+        — the order separate one-component calls would use — so every
+        lane's RNG stream is consumed exactly as in a one-lane call.
         """
-        x_q = self._quantize_input(entry, x)
-        if entry.exact_float and entry.wrap_free and not self._faulty:
-            return x_q @ entry.weight_f, False
-        if entry.exact_float:
-            acc = (x_q @ entry.weight_f).astype(np.int64)
-        else:
-            acc = np.matmul(x_q.astype(np.int64), entry.weight_q)
-        if not entry.wrap_free:
-            host = self._host
-            acc &= host._acc_mask
-            acc[acc >= host._acc_sign] -= host._acc_span
-        return acc, True
-
-    def _lane_stages(self, context: KernelContext, acc: np.ndarray,
-                     lo: int, hi: int, entry: _KernelEntry, name: str,
-                     is_int: bool) -> None:
-        """Injection + clamp of one lane's row block, in place on the stack."""
-        injector = context.injector
-        if injector is not None and is_int:
-            flipped_before = injector.stats.bits_flipped
-            corrupted_before = injector.stats.elements_corrupted
-            acc[lo:hi] = injector.inject(acc[lo:hi], self.spec, component=name)
-            context.counters.bits_flipped += (
-                injector.stats.bits_flipped - flipped_before)
-            context.counters.elements_corrupted += (
-                injector.stats.elements_corrupted - corrupted_before)
-        lane_entry = context._entries[name]
-        if context.clamp is not None and lane_entry.bound_acc is not None:
-            acc[lo:hi] = context._clamp_stage(acc[lo:hi], lane_entry.bound_acc,
-                                              name)
-
-    def qgemm(self, name: str, x: np.ndarray, lane_rows: list[int],
-              logical_rows: list[int] | None = None) -> np.ndarray:
-        """One batched pipeline pass; returns the row-stacked float output."""
-        entry = self._host._entries[name]
-        bounds = self._bounds(lane_rows, x.shape[0])
-        logical = logical_rows if logical_rows is not None else lane_rows
-        elems = entry.in_features * entry.out_features
-        outs = entry.out_features
-        for context, (lo, hi), lrows in zip(self.contexts, bounds, logical):
-            macs = lrows * elems
-            outputs = (hi - lo) * outs
-            # Inlined ``counters.record_gemm`` (same arithmetic) — see
-            # :meth:`qgemm_multi`.
-            counters = context.counters
-            counters.gemm_calls += 1
-            counters.macs += macs
-            counters.output_elements += outputs
-            counters.macs_per_component[name] = (
-                counters.macs_per_component.get(name, 0) + macs)
-            if context.stats is not None:
-                context.stats.record(name, macs, outputs)
-
-        acc, is_int = self._accumulate(entry, x)
-        if self._hooked:
-            for context, (lo, hi) in zip(self.contexts, bounds):
-                self._lane_stages(context, acc, lo, hi, entry, name, is_int)
-        out = acc.astype(np.float64) if is_int else acc
-        out *= entry.combined_scale
-        if entry.bias is not None:
-            out += entry.bias
-        return out
-
-    def qgemm_multi(self, names: tuple[str, ...], x: np.ndarray,
-                    lane_rows: list[int],
-                    logical_rows: list[int] | None = None
-                    ) -> tuple[np.ndarray, ...]:
-        """Batched + component-fused pass; returns row-stacked per-component outputs.
-
-        Per lane, per-component stages run in component call order (the order
-        a lane's serial fused decode uses), keeping every lane's RNG stream
-        bit-identical to its serial execution.
-        """
-        names = tuple(names)
-        fused = self._host._fused(names)
-        if fused is None:
-            return tuple(self.qgemm(name, x, lane_rows, logical_rows)
-                         for name in names)
-        bounds = self._bounds(lane_rows, x.shape[0])
-        logical = logical_rows if logical_rows is not None else lane_rows
-        sizes = [(name, entry.in_features * entry.out_features,
-                  entry.out_features) for name, entry, _, _ in fused.slices]
-        for context, (lo, hi), lrows in zip(self.contexts, bounds, logical):
-            counters = context.counters
-            stats = context.stats
-            rows = hi - lo
+        if len(lane_rows) != len(self._counters) \
+                or sum(lane_rows) != x.shape[0]:
+            raise ValueError(f"lane_rows {list(lane_rows)} do not split a "
+                             f"{x.shape[0]}-row stack into "
+                             f"{len(self._counters)} lanes")
+        logical = lane_rows if logical_rows is None else logical_rows
+        components = group.components
+        for (counters, per_component, stats), rows, lrows in zip(
+                self._counters, lane_rows, logical):
             # Inlined ``counters.record_gemm`` (same arithmetic): the
             # per-lane × per-component recording is the hottest pure-Python
-            # loop of the batched decode step.
-            per_component = counters.macs_per_component
-            counters.gemm_calls += len(sizes)
-            for name, elems, outs in sizes:
+            # loop of a decode step.
+            counters.gemm_calls += len(components)
+            for name, elems, outs in components:
                 macs = lrows * elems
                 counters.macs += macs
                 counters.output_elements += rows * outs
@@ -851,29 +635,107 @@ class BatchedKernel:
                 if stats is not None:
                     stats.record(name, macs, rows * outs)
 
-        acc, is_int = self._accumulate(fused, x)
-        if self._hooked:
-            for context, (lo, hi) in zip(self.contexts, bounds):
-                for name, entry, c0, c1 in fused.slices:
-                    injector = context.injector
-                    if injector is not None and is_int:
-                        flipped_before = injector.stats.bits_flipped
-                        corrupted_before = injector.stats.elements_corrupted
-                        acc[lo:hi, c0:c1] = injector.inject(
-                            acc[lo:hi, c0:c1], self.spec, component=name)
-                        context.counters.bits_flipped += (
-                            injector.stats.bits_flipped - flipped_before)
-                        context.counters.elements_corrupted += (
-                            injector.stats.elements_corrupted - corrupted_before)
-                    lane_entry = context._entries[name]
-                    if context.clamp is not None \
-                            and lane_entry.bound_acc is not None:
-                        acc[lo:hi, c0:c1] = context._clamp_stage(
-                            acc[lo:hi, c0:c1], lane_entry.bound_acc, name)
-        out = acc.astype(np.float64) if is_int else acc
-        out *= fused.scale_row
+        if x is self._qx_source and group.x_scale == self._qx_scale:
+            x_q = self._qx
+        else:
+            # Identical arithmetic to quantizer.quantize: scale, round, clip.
+            x_q = x / group.x_scale
+            np.rint(x_q, out=x_q)
+            np.minimum(x_q, group.qmax, out=x_q)
+            np.maximum(x_q, group.qmin, out=x_q)
+            self._qx_source = x
+            self._qx_scale = group.x_scale
+            self._qx = x_q
+
+        if group.exact_float and group.wrap_free and not self._faulty:
+            # Fault-free fast path: the BLAS GEMM over integer-valued floats
+            # is exact and wrapping is the identity, so the accumulator never
+            # needs to materialize as int64.
+            out = x_q @ group.weight_f
+            if self._hooked:
+                self._lane_stages(out, lane_rows, group.slices)
+        else:
+            if group.exact_float:
+                acc = (x_q @ group.weight_f).astype(np.int64)
+            else:
+                acc = np.matmul(x_q.astype(np.int64), group.weight_q)
+            if not group.wrap_free:
+                # Finite accumulator width, in place.  Wrapping is the
+                # identity on any wrap-free component, so the whole-stack
+                # wrap changes no such component.
+                acc &= self._acc_mask
+                acc[acc >= self._acc_sign] -= self._acc_span
+            if self._hooked:
+                self._lane_stages(acc, lane_rows, group.slices)
+            out = acc.astype(np.float64)
+        out *= group.scale
+        return out
+
+    def _lane_stages(self, acc: np.ndarray, lane_rows: list[int],
+                     slices) -> None:
+        """Injection + clamp of every lane's row block, in place on the stack."""
+        spec = self.spec
+        key = tuple(lane_rows)
+        bounds = self._bounds_memo.get(key) or self._bounds(key)
+        for context, (lo, hi) in zip(self.contexts, bounds):
+            injector = context.injector
+            clamp = context.clamp
+            if injector is None and clamp is None:
+                continue
+            entries = context._entries
+            for name, _, c0, c1 in slices:
+                if injector is not None:
+                    stats = injector.stats
+                    flipped_before = stats.bits_flipped
+                    corrupted_before = stats.elements_corrupted
+                    block = acc[lo:hi, c0:c1]
+                    result = injector.inject(block, spec, component=name)
+                    if result is not block:
+                        acc[lo:hi, c0:c1] = result
+                    context.counters.bits_flipped += (
+                        stats.bits_flipped - flipped_before)
+                    context.counters.elements_corrupted += (
+                        stats.elements_corrupted - corrupted_before)
+                bound = entries[name].bound_acc
+                if clamp is not None and bound is not None:
+                    block = acc[lo:hi, c0:c1]
+                    result = context._clamp_stage(block, bound, name)
+                    if result is not block:
+                        acc[lo:hi, c0:c1] = result
+
+    def qgemm(self, name: str, x: np.ndarray, lane_rows: list[int],
+              logical_rows: list[int] | None = None) -> np.ndarray:
+        """One pipeline pass of one component; returns the row-stacked output.
+
+        ``logical_rows`` optionally overrides each lane's row count for MAC
+        accounting (see the module docstring).
+        """
+        group = self._host._group(name)
+        out = self._pipeline(group, x, lane_rows, logical_rows)
+        bias = group.slices[0][1].bias
+        if bias is not None:
+            out += bias
+        return out
+
+    def qgemm_multi(self, names: tuple[str, ...], x: np.ndarray,
+                    lane_rows: list[int],
+                    logical_rows: list[int] | None = None
+                    ) -> tuple[np.ndarray, ...]:
+        """Component-stacked pass; returns row-stacked per-component outputs.
+
+        Components must share the input scale (Q/K/V and Gate/Up do by
+        construction — they read the same normalized residual); groups that
+        do not simply fall back to one :meth:`qgemm` per component.
+        """
+        if type(names) is not tuple:
+            names = tuple(names)
+        group = self._host._group(names)
+        if group is None:
+            return tuple(self.qgemm(name, x, lane_rows, logical_rows)
+                         for name in names)
+        out = self._pipeline(group, x, lane_rows, logical_rows)
         parts = []
-        for _, entry, c0, c1 in fused.slices:
+        for _, entry, c0, c1 in group.slices:
             part = out[:, c0:c1]
             if entry.bias is not None:
                 part += entry.bias
@@ -882,15 +744,15 @@ class BatchedKernel:
 
 
 class FloatKernel:
-    """Float-path adapter exposing the kernel ``qgemm`` interface.
+    """Float-path adapter exposing the :class:`BatchedKernel` interface.
 
     Deployed agents use it for calibration (with an ``observer``) and for
     float reference inference, so one forward-pass implementation serves
     both precision domains.  ``weight`` maps a component name to its float
     weight matrix; ``bias`` (optional) maps a name to a bias vector or
-    ``None``.  ``logical_rows`` is accepted for interface parity with
-    :meth:`KernelContext.qgemm` and ignored — there is no integer dataflow
-    to account.
+    ``None``.  ``lane_rows`` and ``logical_rows`` are accepted for interface
+    parity and ignored — there is no integer dataflow to account, and float
+    callers run one lane at a time.
     """
 
     def __init__(self, weight: Callable[[str], np.ndarray],
@@ -900,8 +762,8 @@ class FloatKernel:
         self._bias = bias
         self._observer = observer
 
-    def qgemm(self, name: str, x: np.ndarray,
-              logical_rows: int | None = None) -> np.ndarray:
+    def qgemm(self, name: str, x: np.ndarray, lane_rows=None,
+              logical_rows=None) -> np.ndarray:
         out = x @ self._weight(name)
         if self._bias is not None:
             bias = self._bias(name)
@@ -912,44 +774,54 @@ class FloatKernel:
         return out
 
     def qgemm_multi(self, names: tuple[str, ...], x: np.ndarray,
-                    logical_rows: int | None = None) -> tuple[np.ndarray, ...]:
+                    lane_rows=None, logical_rows=None) -> tuple[np.ndarray, ...]:
         """Per-component float GEMMs in call order (no fusion in the float path).
 
         Calibration must observe each component's input/output exactly as the
         reference pipeline produced them, so the float kernel never stacks.
         """
-        return tuple(self.qgemm(name, x, logical_rows) for name in names)
+        return tuple(self.qgemm(name, x) for name in names)
+
+    def release_inputs(self) -> None:
+        """Nothing to release: the float path keeps no input memo."""
 
 
 class KVCache:
-    """Preallocated per-layer K/V cache for incremental decoding.
+    """Preallocated lane-stacked K/V cache for incremental decoding.
 
-    One contiguous ``(num_layers, capacity, dim)`` buffer per projection;
-    :meth:`append` writes the rows of the newest tokens, and :meth:`keys` /
-    :meth:`values` return views of the valid prefix.  ``length`` is the
-    number of cached positions (shared by all layers).
+    One contiguous ``(num_layers, lanes, capacity, dim)`` buffer per
+    projection; :meth:`append` writes every lane's rows of the newest tokens,
+    and :meth:`keys` / :meth:`values` return ``(lanes, length, dim)`` views of
+    the valid prefix.  All lanes share one ``length`` (lanes decode in lock
+    step); :meth:`compact` drops finished lanes in place.
     """
 
-    def __init__(self, num_layers: int, capacity: int, dim: int):
-        if num_layers < 1 or capacity < 1 or dim < 1:
-            raise ValueError("num_layers, capacity and dim must be positive")
+    def __init__(self, num_layers: int, capacity: int, dim: int,
+                 lanes: int = 1):
+        if num_layers < 1 or capacity < 1 or dim < 1 or lanes < 1:
+            raise ValueError(
+                "num_layers, capacity, dim and lanes must be positive")
         self.capacity = capacity
-        self._k = np.empty((num_layers, capacity, dim), dtype=np.float64)
-        self._v = np.empty((num_layers, capacity, dim), dtype=np.float64)
+        self.lanes = lanes
+        self._k = np.empty((num_layers, lanes, capacity, dim), dtype=np.float64)
+        self._v = np.empty((num_layers, lanes, capacity, dim), dtype=np.float64)
         self.length = 0
 
     def append(self, layer: int, k_new: np.ndarray, v_new: np.ndarray) -> None:
         """Write the K/V rows of the newest tokens at positions ``length:``.
 
-        ``length`` itself only moves on :meth:`advance` (called once per
-        decode step, after every layer has appended its rows).
+        ``k_new``/``v_new`` are ``(lanes, rows, dim)`` (a one-lane cache also
+        takes ``(rows, dim)``).  ``length`` itself only moves on
+        :meth:`advance` (called once per decode step, after every layer has
+        appended its rows).
         """
-        rows = k_new.shape[0]
+        rows = k_new.shape[-2]
         if self.length + rows > self.capacity:
             raise ValueError(
                 f"KV cache overflow: {self.length} + {rows} > {self.capacity}")
-        self._k[layer, self.length:self.length + rows] = k_new
-        self._v[layer, self.length:self.length + rows] = v_new
+        end = self.length + rows
+        self._k[layer, :self.lanes, self.length:end] = k_new
+        self._v[layer, :self.lanes, self.length:end] = v_new
 
     def advance(self, rows: int) -> None:
         """Commit ``rows`` appended positions (all layers must have appended)."""
@@ -961,8 +833,20 @@ class KVCache:
         """Forget all cached positions (buffers are reused, not reallocated)."""
         self.length = 0
 
+    def compact(self, keep: list[int]) -> None:
+        """Keep only the lanes at the ascending indices ``keep``, in place.
+
+        Lane ``keep[i]`` moves to slot ``i``; since ``keep[i] >= i``, no
+        move overwrites a lane that is still to be moved.
+        """
+        for slot, lane in enumerate(keep):
+            if slot != lane:
+                self._k[:, slot, :self.length] = self._k[:, lane, :self.length]
+                self._v[:, slot, :self.length] = self._v[:, lane, :self.length]
+        self.lanes = len(keep)
+
     def keys(self, layer: int, length: int) -> np.ndarray:
-        return self._k[layer, :length]
+        return self._k[layer, :self.lanes, :length]
 
     def values(self, layer: int, length: int) -> np.ndarray:
-        return self._v[layer, :length]
+        return self._v[layer, :self.lanes, :length]

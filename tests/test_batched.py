@@ -1,10 +1,11 @@
-"""Batched-runtime equivalence tests.
+"""Lane-group equivalence tests.
 
-The batched runtime (see ``docs/architecture.md``, "The batched runtime")
-is a pure performance feature at three levels — fused Q/K/V projections,
-cross-prompt batched decode, and vectorized campaign trial batches.  Every
-test here asserts the contract that makes that true: batched execution is
-**bit-identical** to its unbatched counterpart — outputs, counters, and
+The runtime has one execution path (see ``docs/architecture.md``, "The
+batched runtime"): every call is a group of lanes, and a single prompt,
+step or trial is a one-lane group.  Grouping works at three levels — fused
+Q/K/V projections, cross-prompt batched decode, and campaign trial groups.
+Every test here asserts the contract that makes grouping safe: N lanes are
+**bit-identical** to N one-lane calls — outputs, counters, and
 fault-injection RNG streams.
 """
 
@@ -87,7 +88,7 @@ class TestFusedQKV:
 
 
 class TestBatchedDecode:
-    """Level 2: N prompts through one batched GEMM == N serial decodes."""
+    """Level 2: N prompts through one batched GEMM == N one-lane decodes."""
 
     REQUESTS = [("wooden", 0), ("stone", 0), ("iron", 0), ("seed", 0)]
 
@@ -173,7 +174,7 @@ class TestBatchedDecode:
 
 
 class TestExecutorTrialBatch:
-    """Level 3 (executor): ``run_trial_batch`` == seed-for-seed ``run_trial``."""
+    """Level 3 (executor): ``run_trial_group`` == seed-for-seed ``run_trial``."""
 
     def _payloads(self, trials, spec_key="k", condition="c"):
         return [record_from_trial(trial, spec_key=spec_key, condition=condition,
@@ -189,26 +190,26 @@ class TestExecutorTrialBatch:
                                             planner_protection=protection,
                                             controller_protection=protection)
                   for s in seeds]
-        batched = jarvis_executor.run_trial_batch(
-            "wooden", seeds, planner_protection=protection,
+        batched = jarvis_executor.run_trial_group(
+            [("wooden", s) for s in seeds], planner_protection=protection,
             controller_protection=protection)
         assert self._payloads(batched) == self._payloads(serial)
 
     def test_single_seed_falls_back_to_run_trial(self, jarvis_executor):
         serial = jarvis_executor.run_trial("wooden", seed=5)
-        [batched] = jarvis_executor.run_trial_batch("wooden", [5])
+        [batched] = jarvis_executor.run_trial_group([("wooden", 5)])
         assert self._payloads([batched]) == self._payloads([serial])
 
     def test_empty_seed_list_returns_empty(self, jarvis_executor):
-        assert jarvis_executor.run_trial_batch("wooden", []) == []
+        assert jarvis_executor.run_trial_group([]) == []
 
     def test_duplicate_seeds_get_identical_lanes(self, jarvis_executor):
         """Each lane owns its RNG streams, so a repeated seed repeats its
         trial exactly — no cross-lane stream sharing."""
         protection = ProtectionConfig(error_model=UniformErrorModel(1e-3))
-        first, second, other = jarvis_executor.run_trial_batch(
-            "wooden", [4, 4, 9], planner_protection=protection,
-            controller_protection=protection)
+        first, second, other = jarvis_executor.run_trial_group(
+            [("wooden", 4), ("wooden", 4), ("wooden", 9)],
+            planner_protection=protection, controller_protection=protection)
         assert self._payloads([first]) == self._payloads([second])
         assert self._payloads([first]) != self._payloads([other])
 
@@ -218,12 +219,12 @@ class TestExecutorTrialBatch:
         fault-free serial trials seed for seed."""
         protection = ProtectionConfig(error_model=UniformErrorModel(1e-2))
         seeds = [0, 1]
-        protected = jarvis_executor.run_trial_batch(
-            "wooden", seeds, planner_protection=protection,
+        protected = jarvis_executor.run_trial_group(
+            [("wooden", s) for s in seeds], planner_protection=protection,
             controller_protection=protection)
         assert all(t.planner_bits_flipped + t.controller_bits_flipped > 0
                    for t in protected)
-        clean = jarvis_executor.run_trial_batch("wooden", seeds)
+        clean = jarvis_executor.run_trial_group([("wooden", s) for s in seeds])
         serial = [jarvis_executor.run_trial("wooden", seed=s) for s in seeds]
         assert all(t.planner_bits_flipped + t.controller_bits_flipped == 0
                    for t in clean)
@@ -232,7 +233,8 @@ class TestExecutorTrialBatch:
 
 
 class TestCampaignVectorPath:
-    """Level 3 (campaign): vectorized and scalar runs are byte-identical."""
+    """Level 3 (campaign): same-spec lane groups and one-lane groups are
+    byte-identical."""
 
     def _specs(self, num_trials=3):
         return [

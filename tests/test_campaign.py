@@ -229,13 +229,13 @@ class _FlakyExecutor(MissionExecutor):
         self._inner = inner
         self._fail_seeds = set(fail_seeds)
 
-    def run_trial(self, task_name, seed=0, planner_protection=None,
-                  controller_protection=None):
-        if seed in self._fail_seeds:
+    def run_trial_group(self, trials, planner_protection=None,
+                        controller_protection=None):
+        if any(seed in self._fail_seeds for _, seed in trials):
             raise RuntimeError("injected crash")
-        return self._inner.run_trial(task_name, seed=seed,
-                                     planner_protection=planner_protection,
-                                     controller_protection=controller_protection)
+        return self._inner.run_trial_group(
+            trials, planner_protection=planner_protection,
+            controller_protection=controller_protection)
 
 
 class TestStreaming:
@@ -245,8 +245,11 @@ class TestStreaming:
         flaky = _FlakyExecutor(jarvis_executor, fail_seeds={2})
         key, overrides = system_ref(flaky, hint="flaky")
         spec = TrialSpec(condition="clean", system=key, task="wooden", num_trials=4)
+        # vector=False runs one cell per lane group, so rows stream one by
+        # one (a same-spec group would land, or crash, as a unit).
         with pytest.raises(RuntimeError, match="injected crash"):
-            run_campaign([spec], systems=overrides, out=tmp_path, name="crash")
+            run_campaign([spec], systems=overrides, out=tmp_path, name="crash",
+                         vector=False)
 
         csv_path = tmp_path / "crash.csv"
         streamed = RunTable.read_csv(csv_path, strict=False)
@@ -309,7 +312,7 @@ class TestStreaming:
         flaky = _FlakyExecutor(jarvis_executor, fail_seeds={1})
         with pytest.raises(RuntimeError, match="injected crash"):
             run_campaign(specs, out=tmp_path, name="force", resume=False,
-                         systems={"jarvis": flaky})
+                         systems={"jarvis": flaky}, vector=False)
         streamed = RunTable.read_csv(tmp_path / "force.csv", strict=False)
         assert len(streamed) == 1  # stale table cleared; only the fresh row
 
@@ -343,18 +346,19 @@ class TestStreaming:
 
         csv_path = tmp_path / "grow.csv"
         sizes = []
-        original = campaign_module._run_cell
+        original = campaign_module._run_lane_group
 
-        def spying_run_cell(cell, executor):
+        def spying_run_lane_group(cells, executor):
             sizes.append(csv_path.stat().st_size if csv_path.exists() else 0)
-            return original(cell, executor)
+            return original(cells, executor)
 
-        monkeypatch.setattr(campaign_module, "_run_cell", spying_run_cell)
+        monkeypatch.setattr(campaign_module, "_run_lane_group",
+                            spying_run_lane_group)
         key, overrides = system_ref(jarvis_executor)
         spec = TrialSpec(condition="clean", system=key, task="wooden", num_trials=3)
-        # vector=False pins the scalar path: the vectorized path executes the
-        # whole same-spec group as one unit, so rows land in a burst instead
-        # of one by one (and _run_cell is never called).
+        # vector=False caps lane groups at one cell: a same-spec group runs
+        # as one unit, so its rows would land in a burst instead of one by
+        # one.
         run_campaign([spec], systems=overrides, out=tmp_path, name="grow",
                      vector=False)
         assert len(sizes) == 3

@@ -4,8 +4,9 @@ The fleet runtime (``src/repro/agents/fleet.py``) is level 4 of the batched
 runtime: N agents stepping against one shared mission suite, all pending
 planner decodes and controller forwards gathered per tick into row-stacked
 :class:`~repro.quant.BatchedKernel` passes.  The contract under test is the
-same as every other batching level — **bit-identical** to the per-agent
-serial loop, fault-free and under injection — plus the campaign-facing
+same as every other batching level — **bit-identical** to a per-agent loop
+of one-lane ``run_trial`` calls, fault-free and under injection — plus the
+campaign-facing
 guarantees: the ``fleet`` axis never changes run-table bytes, spec keys, or
 resume identity.
 """
@@ -34,6 +35,12 @@ def _protection(ber: float = 1e-3) -> ProtectionConfig:
     return ProtectionConfig(error_model=UniformErrorModel(ber))
 
 
+def solo_trials(fleet, size, seed, **kwargs):
+    """Every agent of a fleet's roster run on its own (one-lane groups)."""
+    return [fleet.executor.run_trial(agent.task, seed=agent.seed, **kwargs)
+            for agent in fleet.roster(size, seed=seed)]
+
+
 def assert_trials_identical(batched, serial):
     """Field-for-field equality, including entropy-trace contents."""
     for lane, (b, s) in enumerate(zip(batched, serial)):
@@ -49,22 +56,21 @@ def assert_trials_identical(batched, serial):
 
 
 class TestFleetBitIdentity:
-    """Level 4: fleet-batched stepping == N per-agent serial loops."""
+    """Level 4: fleet-batched stepping == N per-agent one-lane trials."""
 
     def test_fault_free_identical(self, fleet):
-        batched = fleet.run_fleet(6, seed=3, batched=True)
-        serial = fleet.run_fleet(6, seed=3, batched=False)
-        assert batched.roster == serial.roster
-        assert_trials_identical(batched.results, serial.results)
+        batched = fleet.run_fleet(6, seed=3)
+        assert batched.roster == fleet.roster(6, seed=3)
+        assert_trials_identical(batched.results, solo_trials(fleet, 6, 3))
 
     def test_injected_identical(self, fleet):
         protection = _protection()
         kwargs = dict(planner_protection=protection,
                       controller_protection=protection)
-        batched = fleet.run_fleet(6, seed=3, batched=True, **kwargs)
-        serial = fleet.run_fleet(6, seed=3, batched=False, **kwargs)
+        batched = fleet.run_fleet(6, seed=3, **kwargs)
         assert batched.bits_flipped > 0
-        assert_trials_identical(batched.results, serial.results)
+        assert_trials_identical(batched.results,
+                                solo_trials(fleet, 6, 3, **kwargs))
 
     def test_run_table_rows_identical(self, fleet):
         """The payloads campaigns persist match row for row."""
@@ -72,16 +78,16 @@ class TestFleetBitIdentity:
         kwargs = dict(planner_protection=protection,
                       controller_protection=protection)
 
-        def payloads(result):
+        def payloads(results):
             return [record_from_trial(
                         trial, spec_key="k", condition="c", system="jarvis",
                         task=agent.task, seed=agent.seed,
                         trial_index=agent.agent_id).result_payload()
-                    for agent, trial in zip(result.roster, result.results)]
+                    for agent, trial in zip(fleet.roster(5, seed=7), results)]
 
-        batched = fleet.run_fleet(5, seed=7, batched=True, **kwargs)
-        serial = fleet.run_fleet(5, seed=7, batched=False, **kwargs)
-        assert payloads(batched) == payloads(serial)
+        batched = fleet.run_fleet(5, seed=7, **kwargs)
+        assert payloads(batched.results) == \
+            payloads(solo_trials(fleet, 5, 7, **kwargs))
 
 
 class TestFleetRoster:
