@@ -6,7 +6,7 @@ pytest-benchmark), this is a plain script so CI can gate on it directly::
     PYTHONPATH=src python benchmarks/bench_kernels.py            # full run
     PYTHONPATH=src python benchmarks/bench_kernels.py --smoke    # CI gate
 
-It measures six things and writes them to ``BENCH_kernels.json``:
+It measures seven things and writes them to ``BENCH_kernels.json``:
 
 1. **fused qgemm** — one fused :meth:`KernelContext.qgemm` call vs the
    reference :func:`quantized_matmul` pipeline on planner-shaped operands;
@@ -25,11 +25,18 @@ It measures six things and writes them to ``BENCH_kernels.json``:
 6. **plan reuse** — per-trial kernel-context setup (planner + controller,
    the fig16-style trial configuration) against the immutable
    :class:`KernelPlan` cache vs rebuilding every ``_KernelEntry`` from the
-   quantized layers, as shipped before the plan/context split.
+   quantized layers, as shipped before the plan/context split;
+7. **injection** — one kernel injection stage on a controller-shaped block
+   (the K column slice of a controller Q/K/V stack) at BER 1e-3: the
+   in-place :meth:`ErrorInjector.inject_in_place` vs the copy path through
+   the public primitives (rate recomputation, ``flip_bits``, ``np.unique``
+   for the corrupted-element count, copy back into the stack), as shipped
+   before injection ran in place.
 
 Exit status is non-zero when a gate fails: cached decode must never be
 slower than uncached, batched decode at batch=8 must hit its ≥2x floor,
-and plan-backed trial setup must hit its ≥2x floor (smoke and full runs);
+plan-backed trial setup must hit its ≥2x floor, and in-place injection
+must hit its ≥2x floor over the copy path (smoke and full runs);
 the full run additionally checks the ≥3x speedup of cached decode over the
 legacy path.
 """
@@ -49,6 +56,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.agents import build_jarvis_system  # noqa: E402
 from repro.env.observations import OBSERVATION_DIM  # noqa: E402
+from repro.faults import ErrorInjector, UniformErrorModel, flip_bits  # noqa: E402
 from repro.nn.functional import rms_norm, silu, softmax  # noqa: E402
 from repro.quant import GemmHooks, KernelContext  # noqa: E402
 
@@ -71,6 +79,10 @@ FUSED_QKV_TARGET = 1.0
 #: Required speedup of plan-backed trial setup over rebuilding kernel
 #: entries from the quantized layers (all runs).
 PLAN_REUSE_TARGET = 2.0
+
+#: Required speedup of in-place kernel injection over the copy path through
+#: the public primitives (all runs).
+INJECT_SPEEDUP_TARGET = 2.0
 
 #: Cross-prompt batch sizes measured by the ``batched_decode`` section.
 BATCH_SIZES = (1, 4, 8, 16)
@@ -311,6 +323,75 @@ def bench_plan_reuse(planner, controller, reps: int) -> dict:
     }
 
 
+# ----------------------------------------------------------------------
+# 7. In-place kernel injection vs the copy path
+# ----------------------------------------------------------------------
+def _copy_path_inject(injector: ErrorInjector, stack: np.ndarray,
+                      columns: slice, spec) -> None:
+    """One injection stage as shipped before it ran in place.
+
+    Recomputes the rates, flips through the validating public
+    :func:`flip_bits` (two full copies), counts corrupted elements with
+    ``np.unique`` and copies the result back into the stack.  The RNG draws
+    are the same as :meth:`ErrorInjector.inject_in_place`'s.
+    """
+    block = stack[:, columns]
+    rates = np.clip(injector.model.bit_rates(spec.accumulator_bits)
+                    * injector.exposure_scale, 0.0, 1.0)
+    counts = injector.rng.binomial(block.size, rates)
+    total = int(counts.sum())
+    if total == 0:
+        return
+    indices = injector.rng.integers(0, block.size, size=total)
+    bits = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    result = flip_bits(block, indices, bits, bits=spec.accumulator_bits)
+    injector.stats.elements_corrupted += int(np.unique(indices).size)
+    stack[:, columns] = result
+
+
+def bench_injection(controller, reps: int) -> dict:
+    spec = controller.spec
+    config = controller.config
+    # One lane's controller step: the prompt token plus the observation
+    # tokens, through the column-stacked Q/K/V projection of one layer; the
+    # injected block is the K slice, a non-contiguous view of the stack.
+    rows = 1 + config.num_obs_tokens
+    width = config.dim
+    columns = slice(width, 2 * width)
+    rng = np.random.default_rng(3)
+    limit = spec.accumulator_max
+    stack = rng.integers(-limit - 1, limit + 1, size=(rows, 3 * width))
+
+    def injector() -> ErrorInjector:
+        return ErrorInjector(UniformErrorModel(1e-3),
+                             rng=np.random.default_rng(4))
+
+    # Sanity first: both paths leave identical stacks and RNG states.
+    copy_inj, in_place_inj = injector(), injector()
+    copy_stack, in_place_stack = stack.copy(), stack.copy()
+    for _ in range(200):
+        _copy_path_inject(copy_inj, copy_stack, columns, spec)
+        in_place_inj.inject_in_place(in_place_stack[:, columns], spec, "k")
+    assert np.array_equal(copy_stack, in_place_stack)
+    assert copy_inj.rng.bit_generator.state == \
+        in_place_inj.rng.bit_generator.state
+    assert copy_inj.stats.elements_corrupted == \
+        in_place_inj.stats.elements_corrupted
+
+    copy_inj, in_place_inj = injector(), injector()
+    copy = _time(lambda: _copy_path_inject(copy_inj, copy_stack, columns,
+                                           spec), reps)
+    in_place = _time(lambda: in_place_inj.inject_in_place(
+        in_place_stack[:, columns], spec, "k"), reps)
+    return {
+        "block": [rows, width],
+        "ber": 1e-3,
+        "copy_us": copy * 1e6,
+        "in_place_us": in_place * 1e6,
+        "speedup": copy / in_place,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
@@ -344,6 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         "controller_step": bench_controller(system.controller, reps),
         "plan_reuse": bench_plan_reuse(system.planner, system.controller,
                                        reps * 100),
+        "injection": bench_injection(system.controller, reps * 100),
     }
 
     out_path = Path(args.out)
@@ -370,6 +452,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"plan reuse:       {plan_reuse['speedup']:.2f}x trial setup "
           f"({plan_reuse['rebuild_us']:.1f} us rebuild -> "
           f"{plan_reuse['plan_us']:.1f} us plan-backed)")
+    injection = results["injection"]
+    print(f"injection:        {injection['speedup']:.2f}x in place "
+          f"({injection['copy_us']:.1f} us copy path -> "
+          f"{injection['in_place_us']:.1f} us in place)")
     print(f"results written to {out_path}")
 
     failures = []
@@ -391,6 +477,10 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             f"plan-backed trial setup ({plan_reuse['speedup']:.2f}x) is "
             f"below the {PLAN_REUSE_TARGET:.1f}x target")
+    if injection["speedup"] < INJECT_SPEEDUP_TARGET:
+        failures.append(
+            f"in-place injection ({injection['speedup']:.2f}x) is below the "
+            f"{INJECT_SPEEDUP_TARGET:.1f}x target over the copy path")
     if not args.smoke and decode["cached_vs_legacy_speedup"] < DECODE_SPEEDUP_TARGET:
         failures.append(
             f"cached decode speedup {decode['cached_vs_legacy_speedup']:.2f}x "

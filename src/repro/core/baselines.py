@@ -91,10 +91,18 @@ class ThUnderVoltInjector(ErrorInjector):
 
     def inject(self, accumulators: np.ndarray, spec: QuantSpec,
                component: str | None = None) -> np.ndarray:
+        """Return a copy of the accumulator tensor with detected faults zeroed."""
+        out = accumulators.copy()
+        self.inject_in_place(out, spec, component)
+        return out
+
+    def inject_in_place(self, accumulators: np.ndarray, spec: QuantSpec,
+                        component: str | None = None) -> None:
+        """Zero detected faults (and collateral outputs) in place."""
         self.stats.gemm_calls += 1
         self.stats.elements_seen += int(accumulators.size)
         if not self.targets(component):
-            return accumulators
+            return
         rates = self.effective_rates(spec)
         n_elements = accumulators.size
         # Probability that an element has at least one flipped bit.
@@ -102,13 +110,12 @@ class ThUnderVoltInjector(ErrorInjector):
         p_zero = min(1.0, p_element * (1.0 + self.collateral_factor))
         num_zeroed = int(self.rng.binomial(n_elements, p_zero))
         if num_zeroed == 0:
-            return accumulators
+            return
         indices = self.rng.choice(n_elements, size=num_zeroed, replace=False)
-        out = accumulators.copy().reshape(-1)
-        out[indices] = 0
+        target, key = self._elements(accumulators, indices)
+        target[key] = 0
         self.elements_zeroed += num_zeroed
         self.stats.elements_corrupted += num_zeroed
-        return out.reshape(accumulators.shape)
 
 
 @dataclass(frozen=True)

@@ -14,20 +14,49 @@ the resilience curves respond to — comparable, the injector accepts an
 ``exposure_scale`` that multiplies the per-bit rates.  Benchmarks that quote
 paper BER values set it to the ratio of paper-model to surrogate GEMM output
 counts (see EXPERIMENTS.md); unit tests use the default of 1.0.
+
+In-place injection
+------------------
+The fused kernel (:mod:`repro.quant.kernel`) calls
+:meth:`ErrorInjector.inject_in_place` on row/column views of its wrapped
+int64 accumulator stack: the flips are XORed straight into the view, with
+no copy, no re-validation of indices the injector drew itself and no
+unsigned round trip.  On an in-range signed value, flipping bit ``b`` of
+its ``w``-bit two's-complement pattern is an XOR with ``1 << b`` for
+``b < w - 1`` and with the sign-extended ``-(1 << (w - 1))`` for the sign
+bit.  The public :meth:`ErrorInjector.inject` wraps a copy of its input
+into the accumulator range and applies the same flips, so both return what
+:func:`~repro.faults.bitflip.flip_bits` returns for the same draws.  The
+two RNG draws per call (``binomial`` per bit, then ``integers`` for the
+element indices) are the reproducibility contract and never change.
+
+The clipped, exposure-scaled per-bit rates are cached on the injector,
+keyed by ``(model identity, accumulator_bits, exposure_scale)``: swapping
+``injector.model`` (as voltage scaling does on every LDO step) or changing
+the exposure recomputes them on the next call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
+from functools import cache
 
 import numpy as np
 
-from ..quant.qtypes import QuantSpec
-from .bitflip import flip_bits
+from ..quant.qtypes import QuantSpec, wrap_to_accumulator
 from .models import ErrorModel
 
 __all__ = ["InjectionStats", "ErrorInjector", "PassthroughInjector"]
+
+
+@cache
+def _flip_masks(width: int) -> np.ndarray:
+    """Sign-extended XOR mask of every bit of a ``width``-bit accumulator."""
+    masks = [1 << bit for bit in range(width - 1)] + [-(1 << (width - 1))]
+    masks = np.array(masks, dtype=np.int64)
+    masks.flags.writeable = False
+    return masks
 
 
 @dataclass
@@ -85,6 +114,8 @@ class ErrorInjector:
         self.target_components = list(target_components) if target_components else None
         self.enabled = enabled
         self.stats = InjectionStats()
+        self._rates_key: tuple | None = None
+        self._rates: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def reseed(self, rng: np.random.Generator) -> None:
@@ -115,38 +146,93 @@ class ErrorInjector:
         return any(fnmatch(component, pattern) for pattern in self.target_components)
 
     def effective_rates(self, spec: QuantSpec) -> np.ndarray:
-        rates = self.model.bit_rates(spec.accumulator_bits) * self.exposure_scale
-        return np.clip(rates, 0.0, 1.0)
+        """Clipped, exposure-scaled per-bit rates (cached, read-only)."""
+        bits = spec.accumulator_bits
+        key = self._rates_key
+        if key is None or key[0] is not self.model or key[1] != bits \
+                or key[2] != self.exposure_scale:
+            rates = np.clip(self.model.bit_rates(bits) * self.exposure_scale,
+                            0.0, 1.0)
+            rates.flags.writeable = False
+            self._rates = rates
+            self._rates_key = (self.model, bits, self.exposure_scale)
+        return self._rates
 
     def inject(self, accumulators: np.ndarray, spec: QuantSpec,
                component: str | None = None) -> np.ndarray:
-        """Return a (possibly) corrupted copy of the accumulator tensor."""
-        self.stats.gemm_calls += 1
-        self.stats.elements_seen += int(accumulators.size)
-        if not self.targets(component):
-            return accumulators
+        """Return a (possibly) corrupted copy of the accumulator tensor.
 
-        rates = self.effective_rates(spec)
-        n_elements = accumulators.size
+        When nothing flips the input itself is returned; otherwise a copy
+        wrapped into the accumulator range, with the flips applied.
+        """
+        flips = self._draw(accumulators.size, spec, component)
+        if flips is None:
+            return accumulators
+        out = wrap_to_accumulator(accumulators, spec.accumulator_bits)
+        self._flip(out, *flips)
+        return out
+
+    def inject_in_place(self, accumulators: np.ndarray, spec: QuantSpec,
+                        component: str | None = None) -> None:
+        """Corrupt an int64 accumulator tensor (or view) in place.
+
+        Values must already lie in the signed accumulator range (the
+        kernel's stack is wrapped before injection); the draws, stats and
+        resulting values are those of :meth:`inject`.
+        """
+        flips = self._draw(accumulators.size, spec, component)
+        if flips is not None:
+            self._flip(accumulators, *flips)
+
+    def _draw(self, n_elements: int, spec: QuantSpec, component: str | None):
+        """Sample one call's flips and record them in :attr:`stats`.
+
+        Returns ``(indices, masks)`` — flat element indices and their XOR
+        masks — or None when nothing flips.
+        """
+        stats = self.stats
+        stats.gemm_calls += 1
+        stats.elements_seen += n_elements
+        if not self.targets(component):
+            return None
         # Sample the number of flips per bit position; skip work when nothing flips.
-        flip_counts = self.rng.binomial(n_elements, rates)
+        flip_counts = self.rng.binomial(n_elements, self.effective_rates(spec))
         total_flips = int(flip_counts.sum())
         if total_flips == 0:
-            return accumulators
-
+            return None
         # One vectorized draw for every flip: element indices in a single call,
-        # bit positions expanded from the per-bit counts.
+        # bit masks expanded from the per-bit counts.
         indices = self.rng.integers(0, n_elements, size=total_flips)
-        bits = np.repeat(np.arange(flip_counts.size, dtype=np.int64), flip_counts)
-        corrupted = flip_bits(accumulators, indices, bits, bits=spec.accumulator_bits)
+        masks = np.repeat(_flip_masks(spec.accumulator_bits), flip_counts)
+        hit = np.zeros(n_elements, dtype=bool)
+        hit[indices] = True
+        corrupted = int(np.count_nonzero(hit))
 
-        self.stats.bits_flipped += total_flips
-        self.stats.elements_corrupted += int(np.unique(indices).size)
+        stats.bits_flipped += total_flips
+        stats.elements_corrupted += corrupted
         if component is not None:
-            self.stats.flips_per_component[component] = (
-                self.stats.flips_per_component.get(component, 0) + total_flips
+            stats.flips_per_component[component] = (
+                stats.flips_per_component.get(component, 0) + total_flips
             )
-        return corrupted
+        return indices, masks
+
+    @staticmethod
+    def _elements(accumulators: np.ndarray, indices: np.ndarray):
+        """``(target, key)`` with ``target[key]`` the flat-indexed elements.
+
+        A contiguous tensor is indexed through its flat view; any other view
+        (a column slice of the kernel's stack) through unravelled indices.
+        """
+        if accumulators.flags.c_contiguous:
+            return accumulators.reshape(-1), indices
+        return accumulators, np.unravel_index(indices, accumulators.shape)
+
+    def _flip(self, accumulators: np.ndarray, indices: np.ndarray,
+              masks: np.ndarray) -> None:
+        # ``ufunc.at`` XOR-accumulates repeated elements, so multiple flips of
+        # one element compose; at a few flips per call it is also cheaper
+        # than a fancy-indexed ``^=``.
+        np.bitwise_xor.at(*self._elements(accumulators, indices), masks)
 
 
 class PassthroughInjector(ErrorInjector):
@@ -156,9 +242,3 @@ class PassthroughInjector(ErrorInjector):
         from .models import UniformErrorModel
 
         super().__init__(UniformErrorModel(0.0), enabled=False)
-
-    def inject(self, accumulators: np.ndarray, spec: QuantSpec,
-               component: str | None = None) -> np.ndarray:
-        self.stats.gemm_calls += 1
-        self.stats.elements_seen += int(accumulators.size)
-        return accumulators

@@ -13,7 +13,9 @@ This module is the same pipeline compiled into long-lived runtime objects:
   (the dequantized float output is always a fresh array, so callers can
   hold onto results safely);
 * injection and anomaly clearance run as in-pipeline stages on the shared
-  injector / detector objects, so their per-object stats keep working, while
+  injector / detector objects, in place on views of the accumulator stack
+  (:meth:`~repro.faults.ErrorInjector.inject_in_place`), so their
+  per-object stats keep working, while
   each :class:`KernelContext` additionally maintains one unified
   :class:`KernelCounters` that energy/latency accounting can consume
   instead of reading ``GemmStats`` + ``InjectionStats`` + ``AnomalyStats``
@@ -512,16 +514,6 @@ class KernelContext:
             return parts
         return tuple(part.reshape(*x.shape[:-1], -1) for part in parts)
 
-    def _clamp_stage(self, acc: np.ndarray, bound: int, name: str) -> np.ndarray:
-        """Anomaly clearance as a pipeline stage (tracks the unified counters)."""
-        clamp_stats = getattr(self.clamp, "stats", None)
-        clamped_before = clamp_stats.elements_clamped if clamp_stats else 0
-        acc = self.clamp(acc, bound, name)
-        if clamp_stats is not None:
-            self.counters.elements_clamped += (
-                clamp_stats.elements_clamped - clamped_before)
-        return acc
-
 
 class BatchedKernel:
     """The quantized pipeline over N lanes, one :class:`KernelContext` each.
@@ -673,7 +665,12 @@ class BatchedKernel:
 
     def _lane_stages(self, acc: np.ndarray, lane_rows: list[int],
                      slices) -> None:
-        """Injection + clamp of every lane's row block, in place on the stack."""
+        """Injection + clamp of every lane's row block, in place on the stack.
+
+        The injector flips bits straight into the block view; the clamp
+        returns a new array only when it zeroed something, which is then
+        written back into the same view.
+        """
         spec = self.spec
         key = tuple(lane_rows)
         bounds = self._bounds_memo.get(key) or self._bounds(key)
@@ -682,26 +679,29 @@ class BatchedKernel:
             clamp = context.clamp
             if injector is None and clamp is None:
                 continue
+            counters = context.counters
             entries = context._entries
             for name, _, c0, c1 in slices:
+                block = acc[lo:hi, c0:c1]
                 if injector is not None:
                     stats = injector.stats
                     flipped_before = stats.bits_flipped
                     corrupted_before = stats.elements_corrupted
-                    block = acc[lo:hi, c0:c1]
-                    result = injector.inject(block, spec, component=name)
-                    if result is not block:
-                        acc[lo:hi, c0:c1] = result
-                    context.counters.bits_flipped += (
-                        stats.bits_flipped - flipped_before)
-                    context.counters.elements_corrupted += (
+                    injector.inject_in_place(block, spec, name)
+                    counters.bits_flipped += stats.bits_flipped - flipped_before
+                    counters.elements_corrupted += (
                         stats.elements_corrupted - corrupted_before)
                 bound = entries[name].bound_acc
                 if clamp is not None and bound is not None:
-                    block = acc[lo:hi, c0:c1]
-                    result = context._clamp_stage(block, bound, name)
+                    clamp_stats = getattr(clamp, "stats", None)
+                    clamped_before = \
+                        clamp_stats.elements_clamped if clamp_stats else 0
+                    result = clamp(block, bound, name)
                     if result is not block:
-                        acc[lo:hi, c0:c1] = result
+                        block[...] = result
+                    if clamp_stats is not None:
+                        counters.elements_clamped += (
+                            clamp_stats.elements_clamped - clamped_before)
 
     def qgemm(self, name: str, x: np.ndarray, lane_rows: list[int],
               logical_rows: list[int] | None = None) -> np.ndarray:

@@ -308,6 +308,19 @@ class TestBaselines:
         element_rate = 1.0 - (1.0 - 5e-3) ** 24
         assert injector.elements_zeroed > element_rate * acc.size
 
+    def test_thundervolt_in_place_matches_public_inject(self):
+        stack = np.random.default_rng(1).integers(-1000, 1000, size=(6, 30))
+        public = ThUnderVoltInjector(UniformErrorModel(5e-3),
+                                     rng=np.random.default_rng(2))
+        in_place = ThUnderVoltInjector(UniformErrorModel(5e-3),
+                                       rng=np.random.default_rng(2))
+        expected = stack.copy()
+        expected[:, 10:20] = public.inject(stack[:, 10:20], INT8)
+        in_place.inject_in_place(stack[:, 10:20], INT8)
+        np.testing.assert_array_equal(stack, expected)
+        assert in_place.elements_zeroed == public.elements_zeroed > 0
+        assert in_place.stats == public.stats
+
     def test_thundervolt_invalid_collateral(self):
         with pytest.raises(ValueError):
             ThUnderVoltInjector(UniformErrorModel(1e-3), collateral_factor=-1.0)

@@ -1,11 +1,17 @@
 """Tests for bit-flip primitives, error models and the runtime injector."""
 
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import (
     ErrorInjector,
+    InjectionStats,
     PassthroughInjector,
     SingleBitErrorModel,
     UniformErrorModel,
@@ -175,3 +181,204 @@ class TestErrorInjector:
         np.testing.assert_array_equal(injector.inject(acc, INT8), acc)
         assert injector.stats.gemm_calls == 1
         assert injector.stats.bits_flipped == 0
+
+
+def _oracle_inject(model, rng, acc, spec, exposure_scale=1.0, component="c"):
+    """The injector's contract spelled out with the public primitives.
+
+    Recomputes the rates, draws ``binomial`` then ``integers`` exactly as the
+    injector does, flips through the validating :func:`flip_bits` and counts
+    corrupted elements with ``np.unique``.  Returns the result and the stats
+    one call must leave behind.
+    """
+    stats = InjectionStats(gemm_calls=1, elements_seen=acc.size)
+    rates = np.clip(model.bit_rates(spec.accumulator_bits) * exposure_scale,
+                    0.0, 1.0)
+    counts = rng.binomial(acc.size, rates)
+    total = int(counts.sum())
+    if total == 0:
+        return acc, stats
+    indices = rng.integers(0, acc.size, size=total)
+    bits = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    stats.bits_flipped = total
+    stats.elements_corrupted = int(np.unique(indices).size)
+    stats.flips_per_component[component] = total
+    return flip_bits(acc, indices, bits, bits=spec.accumulator_bits), stats
+
+
+_MODELS = st.one_of(
+    st.sampled_from([1e-4, 1e-3, 1.6e-3, 3e-2, 0.3]).map(UniformErrorModel),
+    # Every flip hits the sign bit (the sign-extended mask).
+    st.sampled_from([1e-2, 0.2, 0.9]).map(
+        lambda rate: SingleBitErrorModel(bit=23, rate=rate)),
+)
+
+
+class TestInPlaceInjection:
+    """``inject_in_place`` against the ``flip_bits`` oracle, bit for bit."""
+
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 40),
+           left=st.integers(0, 5), right=st.integers(0, 5),
+           model=_MODELS, seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_view_of_wider_stack_matches_oracle(self, rows, cols, left, right,
+                                                model, seed):
+        values = np.random.default_rng(seed)
+        width = left + cols + right
+        stack = values.integers(-(2 ** 23), 2 ** 23, size=(rows, width))
+        original = stack.copy()
+        columns = slice(left, left + cols)
+        expected, expected_stats = _oracle_inject(
+            model, np.random.default_rng(seed), original[:, columns], INT8)
+
+        injector = ErrorInjector(model, rng=np.random.default_rng(seed))
+        injector.inject_in_place(stack[:, columns], INT8, component="c")
+
+        np.testing.assert_array_equal(stack[:, columns], expected)
+        np.testing.assert_array_equal(stack[:, :left], original[:, :left])
+        np.testing.assert_array_equal(stack[:, left + cols:],
+                                      original[:, left + cols:])
+        assert injector.stats == expected_stats
+        oracle_rng = np.random.default_rng(seed)
+        _oracle_inject(model, oracle_rng, original[:, columns], INT8)
+        assert injector.rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @given(shape=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+           model=_MODELS, seed=st.integers(0, 2 ** 32 - 1),
+           wide=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_public_inject_matches_oracle(self, shape, model, seed, wide):
+        values = np.random.default_rng(seed)
+        # Out-of-range inputs (well past the 24-bit range) are wrapped exactly
+        # as flip_bits wraps them.
+        limit = 2 ** 40 if wide else 2 ** 23
+        acc = values.integers(-limit, limit, size=shape)
+        original = acc.copy()
+        oracle_rng = np.random.default_rng(seed)
+        expected, expected_stats = _oracle_inject(model, oracle_rng, acc, INT8)
+
+        injector = ErrorInjector(model, rng=np.random.default_rng(seed))
+        out = injector.inject(acc, INT8, component="c")
+
+        np.testing.assert_array_equal(out, expected)
+        assert out.dtype == expected.dtype
+        np.testing.assert_array_equal(acc, original)
+        assert injector.stats == expected_stats
+        assert injector.rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_repeated_indices_compose(self):
+        # 12 elements at BER 0.3: ~86 flips, so indices must repeat.
+        model = UniformErrorModel(0.3)
+        acc = np.arange(-6, 6, dtype=np.int64).reshape(3, 4)
+        expected, stats = _oracle_inject(model, np.random.default_rng(5), acc,
+                                         INT8)
+        assert stats.bits_flipped > stats.elements_corrupted
+        injector = ErrorInjector(model, rng=np.random.default_rng(5))
+        view = acc.copy()
+        injector.inject_in_place(view, INT8, component="c")
+        np.testing.assert_array_equal(view, expected)
+        assert injector.stats == stats
+
+    def test_untargeted_component_untouched(self):
+        injector = ErrorInjector(UniformErrorModel(0.5),
+                                 rng=np.random.default_rng(0),
+                                 target_components=["*.k"])
+        acc = np.zeros((4, 8), dtype=np.int64)
+        injector.inject_in_place(acc, INT8, component="layer0.q")
+        assert not acc.any()
+        assert injector.stats.gemm_calls == 1
+        assert injector.stats.elements_seen == 32
+
+
+class TestRateCache:
+    def test_model_swap_uses_new_rates(self):
+        injector = ErrorInjector(UniformErrorModel(0.0),
+                                 rng=np.random.default_rng(0))
+        acc = np.zeros(1000, dtype=np.int64)
+        injector.inject_in_place(acc, INT8)
+        assert not acc.any()
+        injector.model = UniformErrorModel(0.5)
+        injector.inject_in_place(acc, INT8)
+        assert acc.any()
+        np.testing.assert_array_equal(injector.effective_rates(INT8),
+                                      np.full(24, 0.5))
+
+    def test_voltage_scaling_swap_uses_new_rates(self):
+        from repro.core import (AdaptiveVoltageController,
+                                ConstantVoltagePolicy, VoltageScalingConfig)
+
+        injector = ErrorInjector(UniformErrorModel(0.0))
+        assert not injector.effective_rates(INT8).any()
+        controller = AdaptiveVoltageController(
+            config=VoltageScalingConfig(policy=ConstantVoltagePolicy(0.7),
+                                        entropy_source="oracle"),
+            injector=injector)
+        for _ in range(2):
+            controller.begin_trial()
+            np.testing.assert_array_equal(
+                injector.effective_rates(INT8),
+                np.clip(injector.model.bit_rates(24), 0.0, 1.0))
+        assert injector.effective_rates(INT8).any()
+
+    def test_exposure_change_uses_new_rates(self):
+        injector = ErrorInjector(UniformErrorModel(1e-3))
+        np.testing.assert_array_equal(injector.effective_rates(INT8),
+                                      np.full(24, 1e-3))
+        injector.exposure_scale = 2000.0
+        np.testing.assert_array_equal(injector.effective_rates(INT8),
+                                      np.ones(24))
+        injector.exposure_scale = 0.0
+        assert not injector.effective_rates(INT8).any()
+
+    def test_accumulator_width_change_uses_new_rates(self):
+        injector = ErrorInjector(UniformErrorModel(1e-3))
+        assert injector.effective_rates(INT8).size == 24
+        wide = replace(INT8, accumulator_bits=32)
+        assert injector.effective_rates(wide).size == 32
+        # The sign-bit mask follows the width: bit 31 of a 32-bit accumulator.
+        model = SingleBitErrorModel(bit=31, rate=0.5)
+        acc = np.full((4, 5), 5, dtype=np.int64)
+        expected, stats = _oracle_inject(model, np.random.default_rng(0), acc,
+                                         wide)
+        assert stats.bits_flipped > 0
+        single = ErrorInjector(model, rng=np.random.default_rng(0))
+        single.inject_in_place(acc, wide, component="c")
+        np.testing.assert_array_equal(acc, expected)
+        assert set(np.unique(acc)) <= {5, 5 - 2 ** 31}
+
+    def test_cached_rates_are_read_only(self):
+        injector = ErrorInjector(UniformErrorModel(1e-3))
+        rates = injector.effective_rates(INT8)
+        assert injector.effective_rates(INT8) is rates
+        with pytest.raises(ValueError):
+            rates[0] = 1.0
+
+
+class TestTimingTail:
+    def test_ndtr_matches_norm_sf_bitwise(self):
+        from scipy.stats import norm
+
+        model = TimingErrorModel()
+        cfg = model.config
+        for voltage in np.linspace(0.26, 1.2, 200):
+            expected = []
+            for bit in range(cfg.accumulator_bits):
+                delay = model.path_delay_ns(bit, voltage)
+                sigma = max(cfg.delay_sigma * delay, 1e-9)
+                tail = float(norm.sf((cfg.clock_period_ns - delay) / sigma))
+                expected.append(float(np.clip(tail + cfg.error_floor, 0.0, 1.0)))
+            np.testing.assert_array_equal(model.bit_error_rates(voltage),
+                                          np.array(expected))
+
+    def test_runtime_import_path_skips_scipy_stats(self):
+        code = ("import sys\n"
+                "import repro.eval.experiments\n"
+                "from repro.agents import get_system\n"
+                "get_system('jarvis')\n"
+                "assert 'scipy.stats' not in sys.modules, "
+                "sorted(m for m in sys.modules if m.startswith('scipy.stats'))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run([sys.executable, "-c", code],
+                                env={"PYTHONPATH": str(src), "PATH": ""},
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr

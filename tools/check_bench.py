@@ -6,9 +6,8 @@ committed at the repository root:
 
 1. **floors** — the committed baseline must satisfy the hard speedup floors
    declared in ``benchmarks/bench_kernels.py`` (``DECODE_SPEEDUP_TARGET``,
-   ``BATCHED_DECODE_TARGET``, ``FUSED_QKV_TARGET``, ``PLAN_REUSE_TARGET``).
-   A baseline below its
-   own gate means the
+   ``BATCHED_DECODE_TARGET``, ``FUSED_QKV_TARGET``, ``PLAN_REUSE_TARGET``,
+   ``INJECT_SPEEDUP_TARGET``).  A baseline below its own gate means the
    committed numbers and the gate constants drifted apart;
 2. **regression** — every speedup in the fresh run must be within
    :data:`REGRESSION_TOLERANCE` (20%) of the committed baseline.  The
@@ -40,7 +39,8 @@ BENCH_SOURCE = REPO_ROOT / "benchmarks" / "bench_kernels.py"
 REGRESSION_TOLERANCE = 0.20
 
 _FLOOR = re.compile(r"^(DECODE_SPEEDUP_TARGET|BATCHED_DECODE_TARGET|"
-                    r"FUSED_QKV_TARGET|PLAN_REUSE_TARGET)\s*=\s*"
+                    r"FUSED_QKV_TARGET|PLAN_REUSE_TARGET|"
+                    r"INJECT_SPEEDUP_TARGET)\s*=\s*"
                     r"(\d+(?:\.\d+)?)\s*$", re.MULTILINE)
 
 
@@ -53,7 +53,8 @@ def bench_floors() -> dict[str, float]:
     floors = {name: float(value)
               for name, value in _FLOOR.findall(BENCH_SOURCE.read_text())}
     missing = {"DECODE_SPEEDUP_TARGET", "BATCHED_DECODE_TARGET",
-               "FUSED_QKV_TARGET", "PLAN_REUSE_TARGET"} - set(floors)
+               "FUSED_QKV_TARGET", "PLAN_REUSE_TARGET",
+               "INJECT_SPEEDUP_TARGET"} - set(floors)
     if missing:
         raise ValueError(f"could not parse {sorted(missing)} from "
                          f"{BENCH_SOURCE.relative_to(REPO_ROOT)}")
@@ -77,6 +78,9 @@ def speedups(results: dict) -> dict[str, float]:
     # Section introduced with the plan/context split; same one-time tolerance.
     if "plan_reuse" in results:
         values["plan_reuse"] = results["plan_reuse"]["speedup"]
+    # Section introduced with in-place injection; same one-time tolerance.
+    if "injection" in results:
+        values["injection"] = results["injection"]["speedup"]
     return values
 
 
@@ -112,6 +116,14 @@ def check_floors(baseline: dict, errors: list[str]) -> None:
             f"committed baseline plan-reuse setup speedup "
             f"{plan_reuse['speedup']:.2f}x is below the "
             f"{floors['PLAN_REUSE_TARGET']:.1f}x PLAN_REUSE_TARGET")
+    injection = baseline.get("injection")
+    if injection is None:
+        errors.append("committed baseline lacks the injection section")
+    elif injection["speedup"] < floors["INJECT_SPEEDUP_TARGET"]:
+        errors.append(
+            f"committed baseline in-place injection speedup "
+            f"{injection['speedup']:.2f}x is below the "
+            f"{floors['INJECT_SPEEDUP_TARGET']:.1f}x INJECT_SPEEDUP_TARGET")
 
 
 def check_regressions(baseline: dict, fresh: dict, errors: list[str]) -> None:

@@ -143,6 +143,8 @@ _FLOOR_QUOTES = {
     "DECODE_SPEEDUP_TARGET": re.compile(r"(\d+(?:\.\d+)?)x decode-speedup"),
     "BATCHED_DECODE_TARGET": re.compile(r"(\d+(?:\.\d+)?)x batched-decode"),
     "PLAN_REUSE_TARGET": re.compile(r"(\d+(?:\.\d+)?)x plan-reuse"),
+    "INJECT_SPEEDUP_TARGET":
+        re.compile(r"(\d+(?:\.\d+)?)x\s+in-place-injection"),
 }
 
 
