@@ -14,12 +14,13 @@ into single row-stacked :class:`BatchedKernel` passes — and writes the
 agent-steps/s of both paths to ``BENCH_fleet.json``.
 
 The gate: batched stepping at fleet size :data:`GATED_FLEET_SIZE` must
-reach :data:`FLEET_STEPPING_TARGET` (3x) the serial agent-steps/s, in
-smoke and full runs alike.  The two paths are asserted bit-identical
-before any timing happens (fault-free and under per-agent injection), so
-the speedup can never be bought with a behavioural drift.
-``tools/check_fleet_bench.py`` re-checks the committed baseline against
-the same floor and diffs fresh CI runs against it.
+reach ``FLEET_STEPPING_TARGET`` (3x) the serial agent-steps/s, in smoke
+and full runs alike.  The two paths are asserted bit-identical before any
+timing happens (fault-free and under per-agent injection), so the speedup
+can never be bought with a behavioural drift.  The floor is the ``fleet``
+table of ``benchmarks/gates.py``; ``tools/check_bench.py`` evaluates it as
+this script's exit gate, re-checks the committed baseline against it and
+diffs fresh CI runs against that baseline.
 """
 
 from __future__ import annotations
@@ -42,17 +43,13 @@ from repro.faults.models import UniformErrorModel  # noqa: E402
 
 from common import best_of_five as _time  # noqa: E402
 
-#: Required speedup of fleet-batched stepping over the per-agent serial
-#: loop at :data:`GATED_FLEET_SIZE`, measured in agent-steps/s.  One
-#: quantize + one INT GEMM per layer for the whole fleet has to beat N
-#: per-agent passes by a wide margin or the fleet runtime is not earning
-#: its complexity.
-FLEET_STEPPING_TARGET = 3.0
+sys.path.insert(0, str(REPO_ROOT / "tools"))
+from check_bench import check_floors  # noqa: E402
 
 #: Fleet sizes measured (agents stepping against one shared world suite).
 FLEET_SIZES = (4, 16)
 
-#: The fleet size the :data:`FLEET_STEPPING_TARGET` gate applies to.
+#: The fleet size the ``FLEET_STEPPING_TARGET`` gate applies to.
 GATED_FLEET_SIZE = 16
 
 #: Per-agent bit-error rate of the injected measurement arm.
@@ -168,13 +165,7 @@ def main(argv: list[str] | None = None) -> int:
           f"{injected['missions_completed']}/{GATED_FLEET_SIZE} missions)")
     print(f"results written to {out_path}")
 
-    failures = []
-    gated = results["gated_speedup"]
-    if gated < FLEET_STEPPING_TARGET:
-        failures.append(
-            f"fleet-batched stepping at fleet={GATED_FLEET_SIZE} "
-            f"({gated:.2f}x) is below the {FLEET_STEPPING_TARGET:.1f}x "
-            f"FLEET_STEPPING_TARGET")
+    failures = check_floors("fleet", results, "this run")
     for failure in failures:
         print(f"GATE FAILED: {failure}", file=sys.stderr)
     return 1 if failures else 0

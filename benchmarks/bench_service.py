@@ -10,10 +10,13 @@ heartbeat -> stream rows -> complete).  Results land in
     PYTHONPATH=src python benchmarks/bench_service.py            # full run
     PYTHONPATH=src python benchmarks/bench_service.py --smoke    # CI gate
 
-The gate: sustained lease-report round trips per second must reach
-:data:`ROUND_TRIP_TARGET` (500/s) and no worker may see a transport error.
-``tools/check_service_bench.py`` re-checks the committed baseline against
-the same floor and diffs fresh CI runs against it.
+The gates, the ``service`` table of ``benchmarks/gates.py``: sustained
+lease-report round trips per second must reach ``ROUND_TRIP_TARGET``
+(500/s), the round-trip p95 must stay within ``ROUND_TRIP_P95_MS_LIMIT``
+(50ms), no worker may see a transport error and every task must drain.
+``tools/check_bench.py`` evaluates them as this script's exit gate,
+re-checks the committed baseline against them and diffs fresh CI runs
+against that baseline.
 """
 
 from __future__ import annotations
@@ -33,18 +36,9 @@ from load_service import run_load, synthetic_plan  # noqa: E402
 
 from repro.eval.service import CampaignService, QueueClient  # noqa: E402
 
+from check_bench import check_floors  # noqa: E402
 from common import best_of_five  # noqa: E402
-
-#: Required sustained lease-report round trips per second.  One round trip
-#: is four HTTP requests plus four queue state transitions; 500/s of them
-#: keeps the service comfortably ahead of any realistic worker fleet (a
-#: real task takes seconds of trial simulation per lease).
-ROUND_TRIP_TARGET = 500.0
-
-#: Maximum tolerated p95 round-trip latency, milliseconds.  Latency is the
-#: autoscaler's signal quality: depth polls and lease settles must stay
-#: cheap even while a fleet is streaming rows.
-ROUND_TRIP_P95_MS_LIMIT = 50.0
+from gates import ROUND_TRIP_TARGET  # noqa: E402
 
 
 def bench_round_trips(cells: int, workers: int, batch: int = 1) -> dict:
@@ -108,20 +102,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  depth poll  : {stats['depth_poll_ms']:.2f}ms best-of-five")
     print(f"  wrote {out}")
 
-    failures = []
-    if stats["errors"]:
-        failures.append(f"{len(stats['errors'])} worker transport error(s): "
-                        f"{stats['errors'][:3]}")
-    if stats["round_trips"] != stats["tasks"]:
-        failures.append(f"drained {stats['round_trips']} of "
-                        f"{stats['tasks']} tasks")
-    if stats["round_trips_per_s"] < ROUND_TRIP_TARGET:
-        failures.append(
-            f"sustained {stats['round_trips_per_s']:.0f} round trips/s is "
-            f"below the {ROUND_TRIP_TARGET:.0f}/s ROUND_TRIP_TARGET")
-    if p95 > ROUND_TRIP_P95_MS_LIMIT:
-        failures.append(f"round-trip p95 {p95:.2f}ms exceeds the "
-                        f"{ROUND_TRIP_P95_MS_LIMIT:.0f}ms limit")
+    for error in stats["errors"][:3]:
+        print(f"  transport error: {error}")
+    failures = check_floors("service", results, "this run")
     for failure in failures:
         print(f"GATE FAILED: {failure}")
     if failures:

@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Sequence
 from ..hardware.energy import DEFAULT_ENERGY_MODEL
 from .metrics import Z_SCORES
 from .metrics import z_score as _z_score
-from .runtable import RunRecord, RunTable, _format_cell, is_run_table
+from .runtable import RunRecord, RunTable, _format_cell, find_run_tables
 from .reporting import format_markdown_table
 
 __all__ = [
@@ -410,12 +410,8 @@ def discover_tables(sweep_dir: str | Path) -> dict[str, list[Path]]:
     if not sweep_dir.is_dir():
         raise FileNotFoundError(f"sweep directory {sweep_dir} does not exist")
     figures: dict[str, list[Path]] = {}
-    for path in sorted(sweep_dir.rglob("*.csv")):
+    for path in find_run_tables(sweep_dir, skip=_SKIP_DIRS):
         relative = path.relative_to(sweep_dir)
-        if any(part in _SKIP_DIRS for part in relative.parts[:-1]):
-            continue
-        if not is_run_table(path):
-            continue
         if len(relative.parts) == 1:
             name = path.stem
         else:

@@ -69,8 +69,9 @@ from ..hardware.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from .metrics import TrialSummary, aggregate_rows
 
 __all__ = ["RunRecord", "RunTable", "RunTableWriter", "MergeConflictError",
-           "record_from_trial", "summarize_records", "is_run_table", "COLUMNS",
-           "RESULT_COLUMNS", "PROFILE_COLUMNS", "DERIVED_PROFILE_COLUMNS"]
+           "record_from_trial", "summarize_records", "is_run_table",
+           "find_run_tables", "COLUMNS", "RESULT_COLUMNS", "PROFILE_COLUMNS",
+           "DERIVED_PROFILE_COLUMNS"]
 
 
 class MergeConflictError(ValueError):
@@ -647,3 +648,20 @@ def is_run_table(path: str | Path) -> bool:
     except (OSError, UnicodeDecodeError, csv.Error):
         return False
     return header in _ACCEPTED_HEADERS
+
+
+def find_run_tables(root: str | Path,
+                    skip: Iterable[str] = ("profiles",)) -> list[Path]:
+    """Every run-table CSV below ``root``, in sorted order.
+
+    The one directory walker of ``repro-create merge`` and the report
+    builder: a recursive scan that never reads below a directory named in
+    ``skip`` (``profiles/`` sidecars by default: machine-dependent columns
+    must never leak into a canonical table) and keeps only files
+    :func:`is_run_table` recognizes, so stray CSVs and report packs in a
+    sweep directory are ignored.
+    """
+    root, skip = Path(root), set(skip)
+    return [path for path in sorted(root.rglob("*.csv"))
+            if skip.isdisjoint(path.relative_to(root).parts[:-1])
+            and is_run_table(path)]

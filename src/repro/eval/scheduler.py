@@ -61,7 +61,7 @@ from ..quant import weightplane
 from .campaign import (TrialSpec, _Cell, _pool_run_batch,
                        _publish_system_plans, _unpublish_system_plans,
                        enumerate_cells, pending_cells)
-from .runtable import RunTable, RunTableWriter
+from .runtable import RunTable, RunTableWriter, find_run_tables
 from .shard import cell_shard_index
 
 __all__ = ["CampaignPlan", "WorkQueue", "ClaimedTask", "WorkerDaemon",
@@ -1069,16 +1069,13 @@ class MergedTable:
 def _discover_tables(directories: Sequence[Path]) -> dict[str, list[Path]]:
     """Campaign name -> run-table CSVs found under the given directories.
 
-    Scans recursively so queue layouts (``results/<worker>/<name>.csv``),
-    shard output dirs (``<dir>/<name>.csv``), and nested paper-sweep dirs
-    all work; ``profiles/`` sidecars are excluded (machine-dependent
-    columns must never leak into a canonical merge).
+    Scans recursively (:func:`find_run_tables`) so queue layouts
+    (``results/<worker>/<name>.csv``), shard output dirs
+    (``<dir>/<name>.csv``), and nested paper-sweep dirs all work.
     """
     groups: dict[str, list[Path]] = {}
     for directory in directories:
-        for path in sorted(directory.rglob("*.csv")):
-            if "profiles" in path.parts[len(directory.parts):]:
-                continue
+        for path in find_run_tables(directory):
             groups.setdefault(path.stem, []).append(path)
     return groups
 

@@ -32,7 +32,8 @@ from repro.eval.metrics import aggregate_rows
 from repro.eval.runtable import (COLUMNS, DERIVED_PROFILE_COLUMNS,
                                  MergeConflictError, PROFILE_COLUMNS,
                                  RESULT_COLUMNS, RunRecord, RunTable,
-                                 RunTableWriter, is_run_table)
+                                 RunTableWriter, find_run_tables, is_run_table)
+from repro.eval.scheduler import merge_run_tables
 from repro.hardware.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -468,6 +469,30 @@ class TestPublicationPack:
         assert labels["ber-sweep-without-ad/without/ber=0.001"].success_delta \
             == -0.5
         assert "differs" in diff.format()
+
+    def test_stray_csv_and_built_pack_are_not_run_tables(self, tmp_path):
+        """Merge and report read the same tables with or without a stray
+        CSV and a pack built inside the sweep directory."""
+        clean = write_sweep(tmp_path / "clean")
+        (clean / "plans" / "noise.csv").unlink()
+        dirty = write_sweep(tmp_path / "dirty")
+        (dirty / "notes.csv").write_text("date,note\n2026-01-01,rerun\n")
+        build_pack(dirty, dirty / "pack")
+        assert (dirty / "pack" / "figures" / "ad.csv").is_file()
+        assert [p.relative_to(dirty) for p in find_run_tables(dirty)] == \
+            [p.relative_to(clean) for p in find_run_tables(clean)]
+
+        expected = merge_run_tables(tmp_path / "merged-clean", [clean])
+        merged = merge_run_tables(tmp_path / "merged-dirty", [dirty])
+        assert [m.name for m in merged] == [m.name for m in expected] == \
+            ["ber-sweep-with-ad", "ber-sweep-without-ad",
+             "repetition-study-wooden"]
+        for table in expected:
+            assert (tmp_path / "merged-dirty" / f"{table.name}.csv"
+                    ).read_bytes() == table.csv_path.read_bytes()
+
+        assert build_pack(dirty, tmp_path / "pack-dirty") == \
+            build_pack(clean, tmp_path / "pack-clean")
 
     def test_empty_sweep_raises(self, tmp_path):
         (tmp_path / "empty").mkdir()
